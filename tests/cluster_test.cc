@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <deque>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "cluster/agglomerative.h"
 #include "cluster/dbscan.h"
@@ -453,6 +458,275 @@ TEST(QualityTest, InputValidation) {
   EXPECT_FALSE(Quality::Silhouette(matrix, {0}).ok());
 }
 
+// ----------------------------------------------------- Golden bit-identity --
+//
+// The third party's clustering path (NN-chain, silhouette, within-cluster
+// scores) is a performance-sensitive rewrite target whose output must never
+// change by a single bit: these digests were captured from the original
+// dense-symmetric-workspace implementation and pin every merge's children,
+// size and height bits, and the exact bits of both quality scores.
+
+/// Three input families: uniform random cells (no ties), cells rounded to
+/// {0..4} (tie-heavy, zero distances), and Euclidean distances between
+/// points on a small integer grid (tie-heavy, metric, duplicate points).
+enum class GoldenKind { kUniform, kRounded, kGrid };
+
+DissimilarityMatrix GoldenMatrix(GoldenKind kind, size_t n) {
+  auto prng = MakePrng(PrngKind::kXoshiro256,
+                       1000 * (static_cast<uint64_t>(kind) + 1) + n);
+  DissimilarityMatrix d(n);
+  if (kind == GoldenKind::kGrid) {
+    std::vector<double> x(n), y(n);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = static_cast<double>(prng->NextBounded(16));
+      y[i] = static_cast<double>(prng->NextBounded(16));
+    }
+    for (size_t i = 1; i < n; ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        double dx = x[i] - x[j];
+        double dy = y[i] - y[j];
+        d.set(i, j, std::sqrt(dx * dx + dy * dy));
+      }
+    }
+    return d;
+  }
+  for (size_t i = 1; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      d.set(i, j, kind == GoldenKind::kUniform
+                      ? prng->NextUnitDouble() + 0.01
+                      : static_cast<double>(prng->NextBounded(5)));
+    }
+  }
+  return d;
+}
+
+/// Arbitrary, sparse int labels (DBSCAN's -1 included); the first two
+/// objects always differ so the silhouette is defined.
+std::vector<int> ArbitraryLabels(size_t n) {
+  static constexpr int kLabels[] = {-1, 3, 17, -40};
+  auto prng = MakePrng(PrngKind::kXoshiro256, 77 + n);
+  std::vector<int> labels(n);
+  for (size_t i = 0; i < n; ++i) labels[i] = kLabels[prng->NextBounded(4)];
+  labels[0] = -1;
+  if (n > 1) labels[1] = 17;
+  return labels;
+}
+
+/// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void Add(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      state_ ^= (word >> (8 * i)) & 0xff;
+      state_ *= 0x100000001b3ull;
+    }
+  }
+  void Add(double value) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Add(bits);
+  }
+  uint64_t value() const { return state_; }
+
+ private:
+  uint64_t state_ = 0xcbf29ce484222325ull;
+};
+
+uint64_t DendrogramDigest(const Dendrogram& dendrogram) {
+  Digest digest;
+  for (const MergeStep& merge : dendrogram.merges()) {
+    digest.Add(uint64_t{merge.left});
+    digest.Add(uint64_t{merge.right});
+    digest.Add(uint64_t{merge.size});
+    digest.Add(merge.height);
+  }
+  return digest.value();
+}
+
+/// Silhouette bits, or all-ones when the score is undefined.
+uint64_t SilhouetteBits(const DissimilarityMatrix& d,
+                        const std::vector<int>& labels) {
+  auto score = Quality::Silhouette(d, labels);
+  if (!score.ok()) return ~uint64_t{0};
+  uint64_t bits;
+  std::memcpy(&bits, &score.value(), sizeof(bits));
+  return bits;
+}
+
+uint64_t WithinClusterDigest(const DissimilarityMatrix& d,
+                             const std::vector<int>& labels) {
+  Digest digest;
+  for (double v :
+       Quality::WithinClusterMeanSquaredDistance(d, labels).TakeValue()) {
+    digest.Add(v);
+  }
+  return digest.value();
+}
+
+constexpr size_t kGoldenSizes[] = {2, 3, 60, 300, 1100};
+constexpr GoldenKind kGoldenKinds[] = {GoldenKind::kUniform,
+                                       GoldenKind::kRounded, GoldenKind::kGrid};
+constexpr Linkage kGoldenLinkages[] = {Linkage::kSingle, Linkage::kComplete,
+                                       Linkage::kAverage, Linkage::kWard};
+
+// Row order: kind-major, then size, then linkage (single, complete, average,
+// ward).
+constexpr uint64_t kDendrogramGolden[] = {
+    0xdbd1f09b6caa7594ull,
+    0xdbd1f09b6caa7594ull,
+    0xdbd1f09b6caa7594ull,
+    0xdbd1f09b6caa7594ull,
+    0xc8bcfd1829a99fb6ull,
+    0x2fdf051ecaef49baull,
+    0x8539c5ae3ede83c4ull,
+    0x91e51c1616251157ull,
+    0xbc2d866efab4c204ull,
+    0xb232191df92498e5ull,
+    0x6bb92eadfbbc6c89ull,
+    0x0ac01ba0d6bb9a02ull,
+    0x8c0d64ab22bc93f2ull,
+    0x9243af2bff39cdcaull,
+    0x54122adecabf7111ull,
+    0x755cd53ca67747d9ull,
+    0x98690d39939ba016ull,
+    0x00ae8aa77f543611ull,
+    0x2c60136ec1695eeaull,
+    0x35d0f737a6c08735ull,
+    0x83d692ccb64b3bc6ull,
+    0x83d692ccb64b3bc6ull,
+    0x83d692ccb64b3bc6ull,
+    0x83d692ccb64b3bc6ull,
+    0xe24417ece92671a4ull,
+    0xe24417ece92671a4ull,
+    0xe24417ece92671a4ull,
+    0xe24417ece92671a4ull,
+    0x59294a9482cfa862ull,
+    0x0ca77a3c6836b268ull,
+    0x426b7d19d0d596c9ull,
+    0xdb9389c0b0f72d3bull,
+    0x7aef945b27c2bd4cull,
+    0x33329b2da4a01509ull,
+    0x881f74f901cee784ull,
+    0xef29f670c5bbc1faull,
+    0xceef7b3957130327ull,
+    0x54d9ed1124c1bfebull,
+    0x726e4605d71e2f03ull,
+    0xb7224742f3bc1ed6ull,
+    0xe56d859712748557ull,
+    0xe56d859712748557ull,
+    0xe56d859712748557ull,
+    0xe56d859712748557ull,
+    0x893e339e75485392ull,
+    0xe0db2c766c3ff5dfull,
+    0xf8944b0dd05e9e3bull,
+    0x4e315dd53820f3feull,
+    0x77fa0aca70f730adull,
+    0x59dba47a92302578ull,
+    0x7539420d3f46c3c5ull,
+    0xb59d2db120941407ull,
+    0xff0b51c6b0b971acull,
+    0x317bd21ae4944c3full,
+    0x61112d7994eb6bcbull,
+    0x8b68a63da22ae0deull,
+    0x49a1e9cfcaff8cc2ull,
+    0x8e0578cc5c88dedaull,
+    0x5c245c9365a04345ull,
+    0x5267af14388254dfull,
+};
+
+// Row order: kind-major, then size. Columns: silhouette of the average-
+// linkage 4-cluster cut, silhouette of ArbitraryLabels, then the within-
+// cluster digests of the same two labelings.
+constexpr uint64_t kQualityGolden[][4] = {
+    {0x0000000000000000ull, 0x0000000000000000ull,
+     0x88201fb960ff6465ull, 0x88201fb960ff6465ull},
+    {0x0000000000000000ull, 0x3fdefa092c5b4ad8ull,
+     0x81d23fd7003c2305ull, 0x681188cb9516f6c0ull},
+    {0x3fc2fd6395b86fafull, 0xbfc17a10ddfaa56full,
+     0xee68cda287f24be5ull, 0xa9751c4fbd065f69ull},
+    {0x3f9f04a713de09ecull, 0xbfaecbcc3bdff0edull,
+     0xc72f7497732d2013ull, 0x1f45ae3bf34e2c7eull},
+    {0xbf708d908ba06c31ull, 0xbf9aa51f30f012e9ull,
+     0x5e16cdaad3f4c581ull, 0xc60845f3b276b500ull},
+    {0x0000000000000000ull, 0x0000000000000000ull,
+     0x88201fb960ff6465ull, 0x88201fb960ff6465ull},
+    {0x0000000000000000ull, 0x0000000000000000ull,
+     0x81d23fd7003c2305ull, 0x88936bb961612317ull},
+    {0x3fc2058e8eee21c9ull, 0xbfc3bd491d3513f5ull,
+     0x7db74db0ea2c7892ull, 0x4f526298ccde7d97ull},
+    {0x3f9908f046bfd6deull, 0xbfb0421d38e65ad0ull,
+     0xd50b2b9c8e078193ull, 0x70dac207fb392fecull},
+    {0xbf60dd598186aa1bull, 0xbfa0cd0548c7c273ull,
+     0xb4cfb2dde17221fcull, 0x8e107938c6854c8eull},
+    {0x0000000000000000ull, 0x0000000000000000ull,
+     0x88201fb960ff6465ull, 0x88201fb960ff6465ull},
+    {0x0000000000000000ull, 0xbfb18060b69188dfull,
+     0x81d23fd7003c2305ull, 0x71a759b8c2e7e93cull},
+    {0x3fdb396cf8083f46ull, 0xbfb5865c08ba2f66ull,
+     0x65d21af6734355e6ull, 0xba0370ca8487f6adull},
+    {0x3fd7ce6b3f68137bull, 0xbfa9d1631cadf91aull,
+     0xf15ac1a729f84182ull, 0xafc18ebe48372e7cull},
+    {0x3fd75886c6c77c64ull, 0xbf95cb077529e808ull,
+     0x73bffccfaa5c9726ull, 0xdea86d1d999b64e2ull},
+};
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llxull",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(GoldenTest, AgglomerativeMatchesCapturedDigests) {
+  size_t row = 0;
+  std::string actual;
+  for (GoldenKind kind : kGoldenKinds) {
+    for (size_t n : kGoldenSizes) {
+      DissimilarityMatrix d = GoldenMatrix(kind, n);
+      for (Linkage linkage : kGoldenLinkages) {
+        uint64_t digest =
+            DendrogramDigest(Agglomerative::Run(d, linkage).TakeValue());
+        actual += "    " + Hex(digest) + ",\n";
+        if (row < std::size(kDendrogramGolden)) {
+          EXPECT_EQ(digest, kDendrogramGolden[row])
+              << "kind " << static_cast<int>(kind) << " n=" << n << " "
+              << LinkageToString(linkage);
+        }
+        ++row;
+      }
+    }
+  }
+  EXPECT_EQ(std::size(kDendrogramGolden), row) << actual;
+}
+
+TEST(GoldenTest, QualityScoresMatchCapturedBits) {
+  size_t row = 0;
+  std::string actual;
+  for (GoldenKind kind : kGoldenKinds) {
+    for (size_t n : kGoldenSizes) {
+      DissimilarityMatrix d = GoldenMatrix(kind, n);
+      std::vector<int> cut = Agglomerative::Run(d, Linkage::kAverage)
+                                 .TakeValue()
+                                 .CutToClusters(std::min<size_t>(n, 4))
+                                 .TakeValue();
+      std::vector<int> arbitrary = ArbitraryLabels(n);
+      uint64_t got[4] = {SilhouetteBits(d, cut), SilhouetteBits(d, arbitrary),
+                         WithinClusterDigest(d, cut),
+                         WithinClusterDigest(d, arbitrary)};
+      actual += "    {" + Hex(got[0]) + ", " + Hex(got[1]) + ",\n     " +
+                Hex(got[2]) + ", " + Hex(got[3]) + "},\n";
+      if (row < std::size(kQualityGolden)) {
+        for (int c = 0; c < 4; ++c) {
+          EXPECT_EQ(got[c], kQualityGolden[row][c])
+              << "kind " << static_cast<int>(kind) << " n=" << n
+              << " column " << c;
+        }
+      }
+      ++row;
+    }
+  }
+  EXPECT_EQ(std::size(kQualityGolden), row) << actual;
+}
 
 // ------------------------------------------------------------------ Newick --
 

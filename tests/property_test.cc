@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <new>
 
 #include "cluster/quality.h"
 #include "common/serde.h"
@@ -19,6 +22,37 @@
 #include "distance/edit_distance.h"
 #include "rng/distributions.h"
 #include "rng/prng.h"
+
+// Largest single heap request while `g_track_allocations` is set: lets the
+// serde property below prove a hostile length prefix cannot make a reader
+// allocate more than the bytes it actually received.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+}  // namespace
+
+// GCC flags free() on operator-new memory once these are inlined; the pair
+// below is a consistent malloc/free replacement.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace ppc {
 namespace {
@@ -159,6 +193,53 @@ TEST(SerdePropertyTest, RandomTruncationNeverCrashes) {
     auto list = reader.ReadBytesVector();
     if (!list.ok()) {
       EXPECT_EQ(list.status().code(), StatusCode::kDataLoss);
+    }
+  }
+}
+
+/// Largest single allocation made while decoding `payload` as one u64 (or
+/// f64) vector; the decode must fail with kDataLoss.
+size_t LargestAllocationOfFailedVectorRead(const std::string& payload,
+                                           bool f64) {
+  ByteReader reader(payload);
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  StatusCode code = f64 ? reader.ReadF64Vector().status().code()
+                        : reader.ReadU64Vector().status().code();
+  g_track_allocations = false;
+  EXPECT_EQ(code, StatusCode::kDataLoss);
+  return g_largest_allocation;
+}
+
+TEST(SerdePropertyTest, BadVectorLengthsAllocateOnlyReceivedBytes) {
+  // A failed read may allocate its error message, never a buffer sized by
+  // the (attacker-controlled) length prefix.
+  constexpr size_t kMessageAllowance = 256;
+  for (bool f64 : {false, true}) {
+    ByteWriter writer;
+    if (f64) {
+      writer.WriteF64Vector(std::vector<double>(1000, 0.25));
+    } else {
+      writer.WriteU64Vector(std::vector<uint64_t>(1000, 7));
+    }
+    const std::string full = writer.TakeBytes();
+    // Truncated: every cut of a 1000-element vector.
+    for (size_t cut = 0; cut < full.size(); cut += 97) {
+      std::string truncated = full.substr(0, cut);
+      EXPECT_LE(LargestAllocationOfFailedVectorRead(truncated, f64),
+                std::max(cut, kMessageAllowance))
+          << "f64=" << f64 << " cut=" << cut;
+    }
+    // Length-inflated: the prefix claims up to the sanity cap (2^28
+    // elements, 2 GiB) over the same 8000 payload bytes.
+    for (uint32_t claimed : {1001u, 1u << 20, 1u << 28}) {
+      std::string inflated = full;
+      for (int i = 0; i < 4; ++i) {
+        inflated[i] = static_cast<char>((claimed >> (8 * i)) & 0xff);
+      }
+      EXPECT_LE(LargestAllocationOfFailedVectorRead(inflated, f64),
+                kMessageAllowance)
+          << "f64=" << f64 << " claimed=" << claimed;
     }
   }
 }
