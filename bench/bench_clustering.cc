@@ -4,6 +4,10 @@
 //   * NN-chain vs naive greedy agglomeration (O(n^2) vs O(n^3) ablation),
 //   * the four linkages at a fixed size,
 //   * k-medoids and DBSCAN on the same matrices,
+//   * the rest of the third party's post-protocol path at a large job's
+//     size (n = 4096): merging the per-attribute matrices, the published
+//     quality scores, and the bulk f64 vector encode/decode that carries
+//     the matrices over the wire,
 //   * a shape experiment: ARI of single-linkage vs k-medoids on elongated
 //     (chain) clusters — single linkage should win decisively.
 
@@ -13,6 +17,7 @@
 #include "cluster/dbscan.h"
 #include "cluster/kmedoids.h"
 #include "cluster/quality.h"
+#include "common/serde.h"
 #include "rng/distributions.h"
 #include "rng/prng.h"
 
@@ -70,8 +75,9 @@ void BM_AgglomerativeNnChain(benchmark::State& state) {
 }
 BENCHMARK(BM_AgglomerativeNnChain)
     ->RangeMultiplier(2)
-    ->Range(64, 2048)
-    ->Complexity(benchmark::oNSquared);
+    ->Range(64, 4096)
+    ->Complexity(benchmark::oNSquared)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AgglomerativeNaive(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -125,6 +131,74 @@ void BM_Dbscan(benchmark::State& state) {
   state.counters["n"] = static_cast<double>(n);
 }
 BENCHMARK(BM_Dbscan)->RangeMultiplier(2)->Range(64, 1024);
+
+/// Four clusters of random membership, the shape of a k=4 request.
+std::vector<int> RandomLabels(size_t n) {
+  auto prng = MakePrng(PrngKind::kXoshiro256, 2);
+  std::vector<int> labels(n);
+  for (int& label : labels) label = static_cast<int>(prng->NextBounded(4));
+  return labels;
+}
+
+void BM_Silhouette(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  DissimilarityMatrix d = RandomMatrix(n, 1);
+  std::vector<int> labels = RandomLabels(n);
+  for (auto _ : state) {
+    auto score = Quality::Silhouette(d, labels);
+    benchmark::DoNotOptimize(score);
+  }
+  state.counters["n"] = static_cast<double>(n);
+}
+BENCHMARK(BM_Silhouette)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_WithinClusterMeanSquaredDistance(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  DissimilarityMatrix d = RandomMatrix(n, 1);
+  std::vector<int> labels = RandomLabels(n);
+  for (auto _ : state) {
+    auto scores = Quality::WithinClusterMeanSquaredDistance(d, labels);
+    benchmark::DoNotOptimize(scores);
+  }
+  state.counters["n"] = static_cast<double>(n);
+}
+BENCHMARK(BM_WithinClusterMeanSquaredDistance)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
+
+/// Weighted merge of two attribute matrices, as for a two-attribute job.
+void BM_WeightedMerge(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  DissimilarityMatrix first = RandomMatrix(n, 1);
+  DissimilarityMatrix second = RandomMatrix(n, 2);
+  for (auto _ : state) {
+    auto merged =
+        DissimilarityMatrix::WeightedMerge({&first, &second}, {1.0, 1.0});
+    benchmark::DoNotOptimize(merged);
+  }
+  state.counters["n"] = static_cast<double>(n);
+}
+BENCHMARK(BM_WeightedMerge)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+/// Encode + decode of one packed n = 4096 matrix as an f64 vector: the
+/// bulk serde path every matrix payload takes to and from the wire.
+void BM_SerdeF64VectorRoundTrip(benchmark::State& state) {
+  const size_t elements = static_cast<size_t>(state.range(0));
+  std::vector<double> values(elements, 0.5);
+  for (auto _ : state) {
+    ByteWriter writer;
+    writer.WriteF64Vector(values);
+    std::string bytes = writer.TakeBytes();
+    ByteReader reader(bytes);
+    auto decoded = reader.ReadF64Vector();
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(elements) * 8);
+}
+BENCHMARK(BM_SerdeF64VectorRoundTrip)
+    ->Arg(4096 * 4095 / 2)
+    ->Unit(benchmark::kMillisecond);
 
 // The "arbitrary shapes" argument: single linkage recovers chains that the
 // partitioning method breaks. ARI counters tell the story; the timing is

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <type_traits>
 
 namespace ppc {
 
@@ -11,78 +13,134 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-/// Shared machinery for both algorithms: a dense working copy of the
+/// Shared machinery for both algorithms: a dense n x n working copy of the
 /// dissimilarity matrix with Lance-Williams updates. Ward operates on
 /// squared distances internally; heights are reported in distance units.
+///
+/// A merge rewrites only the surviving cluster's row, never its column, so
+/// every write is sequential. Two stamps per slot, both merge counts, say
+/// where a pair's live distance is: `changed_[i]` is when cluster i last
+/// changed (the merge that produced it) and `synced_[i] >= changed_[i]` is
+/// when row i last held every live distance. Row i holds the live d(i, j)
+/// iff synced_[i] >= changed_[j]; otherwise row j does, because then
+/// synced_[j] >= changed_[j] > synced_[i] >= changed_[i]. A nearest-
+/// neighbor scan copies the column values it had to read into its own row
+/// and marks the row synced, so the merge that usually follows a scan reads
+/// both rows sequentially. Active slots are kept in an ascending list, so
+/// scans visit the same slots in the same order as a full 0..n-1 sweep over
+/// live slots.
+template <Linkage L>
 class Workspace {
  public:
-  Workspace(const DissimilarityMatrix& matrix, Linkage linkage)
+  explicit Workspace(const DissimilarityMatrix& matrix)
       : n_(matrix.num_objects()),
-        linkage_(linkage),
-        distance_(n_ * n_, 0.0),
+        cells_(std::make_unique_for_overwrite<double[]>(n_ * n_)),
+        changed_(n_, 0),
+        synced_(n_, 0),
         size_(n_, 1),
-        active_(n_, true) {
+        active_(n_) {
+    std::iota(active_.begin(), active_.end(), size_t{0});
+    // Row i's lower half straight from the packed triangle, then the upper
+    // half as a blocked transpose whose inner loop writes rows
+    // sequentially.
+    const double* packed = matrix.packed_cells().data();
     for (size_t i = 0; i < n_; ++i) {
+      const double* source = packed + i * (i - 1) / 2;
+      double* row = &cells_[i * n_];
       for (size_t j = 0; j < i; ++j) {
-        double d = matrix.at(i, j);
-        if (linkage_ == Linkage::kWard) d = d * d;
-        distance_[i * n_ + j] = distance_[j * n_ + i] = d;
+        row[j] = source[j];
+        if constexpr (L == Linkage::kWard) row[j] = row[j] * row[j];
+      }
+      row[i] = 0.0;
+    }
+    constexpr size_t kTile = 64;
+    for (size_t i0 = 0; i0 < n_; i0 += kTile) {
+      const size_t i1 = std::min(n_, i0 + kTile);
+      for (size_t j0 = 0; j0 <= i0; j0 += kTile) {
+        const size_t j1 = std::min(i1, j0 + kTile);
+        for (size_t j = j0; j < j1; ++j) {
+          for (size_t i = std::max(i0, j + 1); i < i1; ++i) {
+            cells_[j * n_ + i] = cells_[i * n_ + j];
+          }
+        }
       }
     }
   }
 
-  size_t n() const { return n_; }
-  bool active(size_t i) const { return active_[i]; }
-  double dist(size_t i, size_t j) const { return distance_[i * n_ + j]; }
+  /// Live slots in ascending order.
+  const std::vector<size_t>& active() const { return active_; }
+
+  double dist(size_t i, size_t j) const { return cells_[Cell(i, j)]; }
 
   /// Converts an internal working distance to a reported merge height.
-  double Height(double working_distance) const {
-    return linkage_ == Linkage::kWard ? std::sqrt(working_distance)
-                                      : working_distance;
+  static double Height(double working_distance) {
+    if constexpr (L == Linkage::kWard) return std::sqrt(working_distance);
+    return working_distance;
+  }
+
+  /// Nearest active neighbor of `a` (ties: smallest slot, except that
+  /// `preferred` wins any tie it is part of). `slot` is n when `a` is the
+  /// only active slot.
+  struct Neighbor {
+    size_t slot;
+    double distance;
+  };
+  Neighbor Nearest(size_t a, size_t preferred) {
+    Neighbor best{n_, kInfinity};
+    double* row_a = &cells_[a * n_];
+    for (size_t k : active_) {
+      if (k == a) continue;
+      double d = row_a[k];
+      if (synced_[a] < changed_[k]) row_a[k] = d = cells_[k * n_ + a];
+      if (d < best.distance || (d == best.distance && k == preferred)) {
+        best = {k, d};
+      }
+    }
+    synced_[a] = merges_;
+    return best;
   }
 
   /// Merges cluster `b` into cluster `a` (slot `a` survives) and applies
   /// the Lance-Williams update to every other active cluster.
   void Merge(size_t a, size_t b) {
-    double d_ab = dist(a, b);
-    double na = static_cast<double>(size_[a]);
-    double nb = static_cast<double>(size_[b]);
-    for (size_t k = 0; k < n_; ++k) {
-      if (!active_[k] || k == a || k == b) continue;
-      double d_ak = dist(a, k);
-      double d_bk = dist(b, k);
-      double updated = 0.0;
-      switch (linkage_) {
-        case Linkage::kSingle:
-          updated = std::min(d_ak, d_bk);
-          break;
-        case Linkage::kComplete:
-          updated = std::max(d_ak, d_bk);
-          break;
-        case Linkage::kAverage:
-          updated = (na * d_ak + nb * d_bk) / (na + nb);
-          break;
-        case Linkage::kWard: {
-          double nk = static_cast<double>(size_[k]);
-          updated = ((na + nk) * d_ak + (nb + nk) * d_bk - nk * d_ab) /
-                    (na + nb + nk);
-          break;
-        }
+    [[maybe_unused]] const double d_ab = dist(a, b);
+    [[maybe_unused]] const double na = static_cast<double>(size_[a]);
+    [[maybe_unused]] const double nb = static_cast<double>(size_[b]);
+    double* row_a = &cells_[a * n_];
+    for (size_t k : active_) {
+      if (k == a || k == b) continue;
+      const double d_ak = dist(a, k);
+      const double d_bk = dist(b, k);
+      if constexpr (L == Linkage::kSingle) {
+        row_a[k] = std::min(d_ak, d_bk);
+      } else if constexpr (L == Linkage::kComplete) {
+        row_a[k] = std::max(d_ak, d_bk);
+      } else if constexpr (L == Linkage::kAverage) {
+        row_a[k] = (na * d_ak + nb * d_bk) / (na + nb);
+      } else {
+        const double nk = static_cast<double>(size_[k]);
+        row_a[k] = ((na + nk) * d_ak + (nb + nk) * d_bk - nk * d_ab) /
+                   (na + nb + nk);
       }
-      distance_[a * n_ + k] = distance_[k * n_ + a] = updated;
     }
+    changed_[a] = synced_[a] = ++merges_;
     size_[a] += size_[b];
-    active_[b] = false;
+    active_.erase(std::lower_bound(active_.begin(), active_.end(), b));
   }
 
-  size_t cluster_size(size_t i) const { return size_[i]; }
-
  private:
+  /// Index of the cell holding the live distance between `i` and `j`.
+  size_t Cell(size_t i, size_t j) const {
+    return synced_[i] >= changed_[j] ? i * n_ + j : j * n_ + i;
+  }
+
   size_t n_;
-  Linkage linkage_;
-  std::vector<double> distance_;
-  std::vector<size_t> size_;
-  std::vector<bool> active_;
+  std::unique_ptr<double[]> cells_;  // Row-major n x n.
+  std::vector<size_t> changed_;      // Merge count when the cluster formed.
+  std::vector<size_t> synced_;       // Merge count when the row was live.
+  std::vector<size_t> size_;         // Leaves under each slot's cluster.
+  std::vector<size_t> active_;       // Live slots, ascending.
+  size_t merges_ = 0;
 };
 
 /// A merge in slot space, later canonicalized into a Dendrogram.
@@ -135,6 +193,81 @@ Dendrogram Canonicalize(size_t n, std::vector<RawMerge> raw) {
   return Dendrogram(n, std::move(merges));
 }
 
+template <Linkage L>
+Dendrogram Greedy(const DissimilarityMatrix& matrix) {
+  const size_t n = matrix.num_objects();
+  Workspace<L> work(matrix);
+  const std::vector<size_t>& active = work.active();
+
+  std::vector<RawMerge> raw;
+  raw.reserve(n - 1);
+  for (size_t step = 0; step + 1 < n; ++step) {
+    // Find the globally closest active pair (ties: smallest indices).
+    double best = kInfinity;
+    size_t best_a = 0, best_b = 0;
+    for (size_t x = 0; x < active.size(); ++x) {
+      for (size_t y = x + 1; y < active.size(); ++y) {
+        const double d = work.dist(active[x], active[y]);
+        if (d < best) {
+          best = d;
+          best_a = active[x];
+          best_b = active[y];
+        }
+      }
+    }
+    raw.push_back({best_a, best_b, Workspace<L>::Height(best)});
+    work.Merge(best_a, best_b);
+  }
+  return Canonicalize(n, std::move(raw));
+}
+
+template <Linkage L>
+Dendrogram NnChain(const DissimilarityMatrix& matrix) {
+  const size_t n = matrix.num_objects();
+  Workspace<L> work(matrix);
+
+  std::vector<RawMerge> raw;
+  raw.reserve(n - 1);
+  std::vector<size_t> chain;
+  chain.reserve(n);
+
+  while (raw.size() + 1 < n) {
+    if (chain.empty()) chain.push_back(work.active().front());
+    size_t a = chain.back();
+    // Prefer the chain predecessor on ties so reciprocal pairs are
+    // detected and the chain terminates.
+    size_t prev = chain.size() >= 2 ? chain[chain.size() - 2] : n;
+    const auto nearest = work.Nearest(a, prev);
+    if (nearest.slot == prev) {
+      raw.push_back({a, prev, Workspace<L>::Height(nearest.distance)});
+      chain.pop_back();
+      chain.pop_back();
+      // Keep the surviving slot consistent with Workspace::Merge (a wins).
+      work.Merge(a, prev);
+    } else {
+      chain.push_back(nearest.slot);
+    }
+  }
+  return Canonicalize(n, std::move(raw));
+}
+
+/// Calls `fn` with `linkage` as a compile-time constant.
+template <typename Fn>
+Dendrogram DispatchLinkage(Linkage linkage, Fn fn) {
+  using std::integral_constant;
+  switch (linkage) {
+    case Linkage::kSingle:
+      return fn(integral_constant<Linkage, Linkage::kSingle>{});
+    case Linkage::kComplete:
+      return fn(integral_constant<Linkage, Linkage::kComplete>{});
+    case Linkage::kAverage:
+      return fn(integral_constant<Linkage, Linkage::kAverage>{});
+    case Linkage::kWard:
+      break;
+  }
+  return fn(integral_constant<Linkage, Linkage::kWard>{});
+}
+
 }  // namespace
 
 const char* LinkageToString(Linkage linkage) {
@@ -153,78 +286,20 @@ const char* LinkageToString(Linkage linkage) {
 
 Result<Dendrogram> Agglomerative::RunNaive(const DissimilarityMatrix& matrix,
                                            Linkage linkage) {
-  size_t n = matrix.num_objects();
-  if (n == 0) return Status::InvalidArgument("cannot cluster zero objects");
-  Workspace work(matrix, linkage);
-
-  std::vector<RawMerge> raw;
-  raw.reserve(n - 1);
-  for (size_t step = 0; step + 1 < n; ++step) {
-    // Find the globally closest active pair (ties: smallest indices).
-    double best = kInfinity;
-    size_t best_a = 0, best_b = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!work.active(i)) continue;
-      for (size_t j = i + 1; j < n; ++j) {
-        if (!work.active(j)) continue;
-        if (work.dist(i, j) < best) {
-          best = work.dist(i, j);
-          best_a = i;
-          best_b = j;
-        }
-      }
-    }
-    raw.push_back({best_a, best_b, work.Height(best)});
-    work.Merge(best_a, best_b);
+  if (matrix.num_objects() == 0) {
+    return Status::InvalidArgument("cannot cluster zero objects");
   }
-  return Canonicalize(n, std::move(raw));
+  return DispatchLinkage(
+      linkage, [&](auto l) { return Greedy<decltype(l)::value>(matrix); });
 }
 
 Result<Dendrogram> Agglomerative::Run(const DissimilarityMatrix& matrix,
                                       Linkage linkage) {
-  size_t n = matrix.num_objects();
-  if (n == 0) return Status::InvalidArgument("cannot cluster zero objects");
-  Workspace work(matrix, linkage);
-
-  std::vector<RawMerge> raw;
-  raw.reserve(n - 1);
-  std::vector<size_t> chain;
-  chain.reserve(n);
-
-  while (raw.size() + 1 < n) {
-    if (chain.empty()) {
-      for (size_t i = 0; i < n; ++i) {
-        if (work.active(i)) {
-          chain.push_back(i);
-          break;
-        }
-      }
-    }
-    size_t a = chain.back();
-    // Nearest active neighbor of `a`; prefer the chain predecessor on ties
-    // so reciprocal pairs are detected and the chain terminates.
-    size_t prev = chain.size() >= 2 ? chain[chain.size() - 2] : n;
-    double best = kInfinity;
-    size_t best_b = n;
-    for (size_t k = 0; k < n; ++k) {
-      if (!work.active(k) || k == a) continue;
-      double d = work.dist(a, k);
-      if (d < best || (d == best && k == prev)) {
-        best = d;
-        best_b = k;
-      }
-    }
-    if (best_b == prev) {
-      raw.push_back({a, best_b, work.Height(best)});
-      chain.pop_back();
-      chain.pop_back();
-      // Keep the surviving slot consistent with Workspace::Merge (a wins).
-      work.Merge(a, best_b);
-    } else {
-      chain.push_back(best_b);
-    }
+  if (matrix.num_objects() == 0) {
+    return Status::InvalidArgument("cannot cluster zero objects");
   }
-  return Canonicalize(n, std::move(raw));
+  return DispatchLinkage(
+      linkage, [&](auto l) { return NnChain<decltype(l)::value>(matrix); });
 }
 
 }  // namespace ppc

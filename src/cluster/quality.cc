@@ -46,6 +46,28 @@ PairCounts CountPairs(const std::vector<int>& a, const std::vector<int>& b) {
   return counts;
 }
 
+/// Arbitrary int labels mapped to dense ids 0..L-1 in ascending label
+/// order, so per-label state lives in flat arrays (not maps) and is
+/// visited in the same order a label-keyed map would visit it.
+struct DenseLabels {
+  explicit DenseLabels(const std::vector<int>& labels) : ids(labels.size()) {
+    std::vector<int> distinct = labels;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    sizes.assign(distinct.size(), 0);
+    for (size_t i = 0; i < labels.size(); ++i) {
+      ids[i] = static_cast<size_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), labels[i]) -
+          distinct.begin());
+      sizes[ids[i]] += 1;
+    }
+  }
+
+  std::vector<size_t> ids;    // Dense id of each object's label.
+  std::vector<size_t> sizes;  // Members per dense id.
+};
+
 }  // namespace
 
 Result<double> Quality::Silhouette(const DissimilarityMatrix& matrix,
@@ -54,30 +76,61 @@ Result<double> Quality::Silhouette(const DissimilarityMatrix& matrix,
   PPC_RETURN_IF_ERROR(CheckLabels(labels, n));
   if (n == 0) return Status::InvalidArgument("empty matrix");
 
-  std::map<int, size_t> cluster_sizes;
-  for (int label : labels) cluster_sizes[label] += 1;
-  if (cluster_sizes.size() < 2) {
+  const DenseLabels dense(labels);
+  const size_t num_labels = dense.sizes.size();
+  if (num_labels < 2) {
     return Status::InvalidArgument("silhouette needs at least two clusters");
   }
 
+  // sums[p][l]: total distance from object p to the members of label l.
+  // One pass over the packed triangle adds d(i, j) to both endpoints'
+  // sums, so every object accumulates its distances in ascending order of
+  // the other object — the order of a per-object row scan. Objects are
+  // processed in blocks whose sums fit a fixed budget, so many labels cost
+  // more passes, not more memory.
+  constexpr size_t kSumsBudget = size_t{1} << 18;  // Doubles (2 MiB).
+  const size_t block = std::max<size_t>(1, kSumsBudget / num_labels);
+  const double* cells = matrix.packed_cells().data();
+  const std::vector<size_t>& id = dense.ids;
+  std::vector<double> sums(std::min(block, n) * num_labels);
+
   double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (cluster_sizes[labels[i]] == 1) continue;  // Scores 0 by convention.
-    // Mean intra-cluster distance and minimal mean inter-cluster distance.
-    std::map<int, double> sums;
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      sums[labels[j]] += matrix.at(i, j);
+  for (size_t begin = 0; begin < n; begin += block) {
+    const size_t end = std::min(n, begin + block);
+    std::fill(sums.begin(), sums.end(), 0.0);
+    // Row i holds d(i, j) for j < i: it completes object i's own sums (when
+    // i is in the block) and adds d(i, j) to the block's objects j < i.
+    for (size_t i = std::max<size_t>(begin, 1); i < n; ++i) {
+      const double* row = cells + i * (i - 1) / 2;
+      double* to_label_of_i = sums.data() + id[i];
+      if (i < end) {
+        double* own = sums.data() + (i - begin) * num_labels;
+        for (size_t j = 0; j < begin; ++j) own[id[j]] += row[j];
+        for (size_t j = begin; j < i; ++j) {
+          own[id[j]] += row[j];
+          to_label_of_i[(j - begin) * num_labels] += row[j];
+        }
+      } else {
+        for (size_t j = begin; j < end; ++j) {
+          to_label_of_i[(j - begin) * num_labels] += row[j];
+        }
+      }
     }
-    double a = sums[labels[i]] /
-               static_cast<double>(cluster_sizes[labels[i]] - 1);
-    double b = std::numeric_limits<double>::infinity();
-    for (const auto& [label, sum] : sums) {
-      if (label == labels[i]) continue;
-      b = std::min(b, sum / static_cast<double>(cluster_sizes[label]));
+    for (size_t i = begin; i < end; ++i) {
+      const size_t own_label = id[i];
+      if (dense.sizes[own_label] == 1) continue;  // Scores 0 by convention.
+      // Mean intra-cluster distance and minimal mean inter-cluster distance.
+      const double* own = sums.data() + (i - begin) * num_labels;
+      double a = own[own_label] /
+                 static_cast<double>(dense.sizes[own_label] - 1);
+      double b = std::numeric_limits<double>::infinity();
+      for (size_t l = 0; l < num_labels; ++l) {
+        if (l == own_label) continue;
+        b = std::min(b, own[l] / static_cast<double>(dense.sizes[l]));
+      }
+      double denom = std::max(a, b);
+      total += denom > 0.0 ? (b - a) / denom : 0.0;
     }
-    double denom = std::max(a, b);
-    total += denom > 0.0 ? (b - a) / denom : 0.0;
   }
   return total / static_cast<double>(n);
 }
@@ -87,24 +140,26 @@ Result<std::vector<double>> Quality::WithinClusterMeanSquaredDistance(
   const size_t n = matrix.num_objects();
   PPC_RETURN_IF_ERROR(CheckLabels(labels, n));
 
-  std::map<int, double> sums;
-  std::map<int, size_t> pair_counts;
-  std::map<int, bool> present;
-  for (size_t i = 0; i < n; ++i) present[labels[i]] = true;
+  const DenseLabels dense(labels);
+  const std::vector<size_t>& id = dense.ids;
+  std::vector<double> sums(dense.sizes.size(), 0.0);
+  std::vector<size_t> pair_counts(dense.sizes.size(), 0);
+  const double* cells = matrix.packed_cells().data();
   for (size_t i = 1; i < n; ++i) {
+    const double* row = cells + i * (i - 1) / 2;
+    const size_t label = id[i];
     for (size_t j = 0; j < i; ++j) {
-      if (labels[i] != labels[j]) continue;
-      double d = matrix.at(i, j);
-      sums[labels[i]] += d * d;
-      pair_counts[labels[i]] += 1;
+      if (id[j] != label) continue;
+      sums[label] += row[j] * row[j];
+      pair_counts[label] += 1;
     }
   }
   std::vector<double> out;
-  for (const auto& [label, unused] : present) {
-    (void)unused;
-    size_t pairs = pair_counts[label];
-    out.push_back(pairs == 0 ? 0.0
-                             : sums[label] / static_cast<double>(pairs));
+  out.reserve(sums.size());
+  for (size_t l = 0; l < sums.size(); ++l) {
+    out.push_back(pair_counts[l] == 0
+                      ? 0.0
+                      : sums[l] / static_cast<double>(pair_counts[l]));
   }
   return out;
 }

@@ -1,9 +1,17 @@
 #include "common/serde.h"
 
+#include <bit>
+
 namespace ppc {
 
 namespace {
 constexpr uint32_t kMaxVectorLength = 1u << 28;  // 256M elements: sanity cap.
+
+// On little-endian hosts the wire encoding of a u64/f64 vector is the
+// in-memory representation, so the bulk paths copy it whole; other hosts
+// keep the per-element byte shifts.
+constexpr bool kNativeLittleEndian =
+    std::endian::native == std::endian::little;
 }  // namespace
 
 void ByteWriter::WriteU32(uint32_t v) {
@@ -43,13 +51,27 @@ void ByteWriter::WriteBytes(const void* data, size_t length) {
 void ByteWriter::WriteU64Vector(const std::vector<uint64_t>& values) {
   Reserve(4 + 8 * values.size());
   WriteU32(static_cast<uint32_t>(values.size()));
-  for (uint64_t v : values) WriteU64(v);
+  if constexpr (kNativeLittleEndian) {
+    if (!values.empty()) {
+      buffer_.append(reinterpret_cast<const char*>(values.data()),
+                     8 * values.size());
+    }
+  } else {
+    for (uint64_t v : values) WriteU64(v);
+  }
 }
 
 void ByteWriter::WriteF64Vector(const std::vector<double>& values) {
   Reserve(4 + 8 * values.size());
   WriteU32(static_cast<uint32_t>(values.size()));
-  for (double v : values) WriteF64(v);
+  if constexpr (kNativeLittleEndian) {
+    if (!values.empty()) {
+      buffer_.append(reinterpret_cast<const char*>(values.data()),
+                     8 * values.size());
+    }
+  } else {
+    for (double v : values) WriteF64(v);
+  }
 }
 
 void ByteWriter::WriteBytesVector(const std::vector<std::string>& values) {
@@ -122,34 +144,38 @@ Result<std::string_view> ByteReader::ReadBytesView() {
   return view;
 }
 
-Result<std::vector<uint64_t>> ByteReader::ReadU64Vector() {
+Result<uint32_t> ByteReader::ReadWordVectorLength() {
   PPC_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
   if (n > kMaxVectorLength) {
     return Status::DataLoss("vector length " + std::to_string(n) +
                             " exceeds sanity cap");
   }
+  // Checked before the caller allocates: the buffer a hostile length
+  // prefix can make us allocate is bounded by the bytes actually received.
   PPC_RETURN_IF_ERROR(Need(size_t{n} * 8));
-  std::vector<uint64_t> out;
-  out.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PPC_ASSIGN_OR_RETURN(uint64_t v, ReadU64());
-    out.push_back(v);
+  return n;
+}
+
+Result<std::vector<uint64_t>> ByteReader::ReadU64Vector() {
+  PPC_ASSIGN_OR_RETURN(uint32_t n, ReadWordVectorLength());
+  std::vector<uint64_t> out(n);
+  if constexpr (kNativeLittleEndian) {
+    if (n > 0) std::memcpy(out.data(), data_.data() + pos_, size_t{n} * 8);
+    pos_ += size_t{n} * 8;
+  } else {
+    for (uint64_t& v : out) v = ReadU64().value();
   }
   return out;
 }
 
 Result<std::vector<double>> ByteReader::ReadF64Vector() {
-  PPC_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
-  if (n > kMaxVectorLength) {
-    return Status::DataLoss("vector length " + std::to_string(n) +
-                            " exceeds sanity cap");
-  }
-  PPC_RETURN_IF_ERROR(Need(size_t{n} * 8));
-  std::vector<double> out;
-  out.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PPC_ASSIGN_OR_RETURN(double v, ReadF64());
-    out.push_back(v);
+  PPC_ASSIGN_OR_RETURN(uint32_t n, ReadWordVectorLength());
+  std::vector<double> out(n);
+  if constexpr (kNativeLittleEndian) {
+    if (n > 0) std::memcpy(out.data(), data_.data() + pos_, size_t{n} * 8);
+    pos_ += size_t{n} * 8;
+  } else {
+    for (double& v : out) v = ReadF64().value();
   }
   return out;
 }

@@ -110,6 +110,10 @@ class ByteReader {
  private:
   Status Need(size_t n) const;
 
+  /// Reads a u64/f64 vector's length prefix and checks that its 8-byte
+  /// elements are all present.
+  Result<uint32_t> ReadWordVectorLength();
+
   const std::string& data_;
   size_t pos_ = 0;
 };

@@ -74,8 +74,14 @@ Status ThirdParty::ReceiveHellos(const std::vector<std::string>& holders) {
     total_objects_ += count;
     roster_.push_back(std::move(entry));
   }
-  attribute_matrices_.assign(schema_.size(),
-                             DissimilarityMatrix(total_objects_));
+  // One zeroed matrix per attribute, each built in place: assigning copies
+  // of a prototype would pay an n^2 copy per attribute while every holder
+  // waits on the roster.
+  attribute_matrices_.clear();
+  attribute_matrices_.reserve(schema_.size());
+  for (size_t column = 0; column < schema_.size(); ++column) {
+    attribute_matrices_.emplace_back(total_objects_);
+  }
   normalized_ = false;
   InvalidateMergedCache();
   return Status::OK();

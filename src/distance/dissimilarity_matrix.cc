@@ -61,14 +61,28 @@ Result<DissimilarityMatrix> DissimilarityMatrix::WeightedMerge(
       return Status::InvalidArgument("matrices disagree on object count");
     }
   }
-  DissimilarityMatrix merged(n);
+  struct Term {
+    double weight;
+    const double* cells;
+  };
+  std::vector<Term> terms;
   for (size_t k = 0; k < matrices.size(); ++k) {
     double w = weights[k] / total;
     if (w == 0.0) continue;
-    for (size_t idx = 0; idx < merged.cells_.size(); ++idx) {
-      merged.cells_[idx] += w * matrices[k]->cells_[idx];
-    }
+    terms.push_back({w, matrices[k]->cells_.data()});
   }
+  // One sweep; each cell sums its terms in matrix order starting from 0.0.
+  const size_t count = matrices[0]->cells_.size();
+  std::vector<double> cells;
+  cells.reserve(count);
+  for (size_t idx = 0; idx < count; ++idx) {
+    double acc = 0.0;
+    for (const Term& term : terms) acc += term.weight * term.cells[idx];
+    cells.push_back(acc);
+  }
+  DissimilarityMatrix merged;
+  merged.num_objects_ = n;
+  merged.cells_ = std::move(cells);
   return merged;
 }
 
@@ -92,7 +106,8 @@ Result<DissimilarityMatrix> DissimilarityMatrix::FromPacked(
         "packed cell count " + std::to_string(cells.size()) +
         " does not match " + std::to_string(num_objects) + " objects");
   }
-  DissimilarityMatrix matrix(num_objects);
+  DissimilarityMatrix matrix;
+  matrix.num_objects_ = num_objects;
   matrix.cells_ = std::move(cells);
   return matrix;
 }

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <deque>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 
@@ -402,6 +404,49 @@ TEST(QualityTest, WithinClusterMeanSquaredDistance) {
   ASSERT_EQ(wcmsd.size(), 2u);
   EXPECT_DOUBLE_EQ(wcmsd[0], 4.0);  // One pair at distance 2.
   EXPECT_DOUBLE_EQ(wcmsd[1], 0.0);  // Singleton.
+}
+
+/// The silhouette as a direct per-object scan with label-keyed maps: the
+/// definition the single-pass implementation must reproduce bit for bit.
+double ReferenceSilhouette(const DissimilarityMatrix& d,
+                           const std::vector<int>& labels) {
+  std::map<int, size_t> sizes;
+  for (int label : labels) sizes[label] += 1;
+  double total = 0.0;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (sizes[labels[i]] == 1) continue;
+    std::map<int, double> sums;
+    for (size_t j = 0; j < labels.size(); ++j) {
+      if (j != i) sums[labels[j]] += d.at(i, j);
+    }
+    double a = sums[labels[i]] / static_cast<double>(sizes[labels[i]] - 1);
+    double b = std::numeric_limits<double>::infinity();
+    for (const auto& [label, sum] : sums) {
+      if (label != labels[i]) {
+        b = std::min(b, sum / static_cast<double>(sizes[label]));
+      }
+    }
+    double denom = std::max(a, b);
+    total += denom > 0.0 ? (b - a) / denom : 0.0;
+  }
+  return total / static_cast<double>(labels.size());
+}
+
+TEST(QualityTest, SilhouetteMatchesPerObjectReferenceWithManyLabels) {
+  // Hundreds of labels split the objects into several blocks of label
+  // sums; singletons and negative labels mixed in.
+  auto prng = MakePrng(PrngKind::kXoshiro256, 31);
+  const size_t n = 1100;
+  DissimilarityMatrix d = RandomMatrix(n, prng.get());
+  for (size_t num_labels : {size_t{2}, size_t{550}, size_t{1000}}) {
+    std::vector<int> labels(n);
+    for (size_t i = 0; i < n; ++i) {
+      labels[i] = static_cast<int>(prng->NextBounded(num_labels)) - 7;
+    }
+    EXPECT_EQ(Quality::Silhouette(d, labels).TakeValue(),
+              ReferenceSilhouette(d, labels))
+        << num_labels << " labels";
+  }
 }
 
 TEST(QualityTest, RandIndexBoundsAndIdentity) {

@@ -192,6 +192,31 @@ TEST(DissimilarityMatrixTest, WeightedMergeNormalizesWeights) {
   EXPECT_DOUBLE_EQ(merged.at(1, 0), 1.0);
 }
 
+TEST(DissimilarityMatrixTest, WeightedMergeSumsTermsInMatrixOrder) {
+  // Each cell is 0.0 + w0*m0 + w1*m1 + ... in matrix order, zero weights
+  // skipped: the exact rounding sequence the merged matrix is pinned to.
+  auto prng = MakePrng(PrngKind::kXoshiro256, 5);
+  std::vector<DissimilarityMatrix> parts(3, DissimilarityMatrix(40));
+  for (DissimilarityMatrix& m : parts) {
+    for (size_t i = 1; i < 40; ++i) {
+      for (size_t j = 0; j < i; ++j) m.set(i, j, prng->NextUnitDouble());
+    }
+  }
+  const std::vector<double> weights{0.3, 0.0, 1.7};
+  auto merged = DissimilarityMatrix::WeightedMerge(
+                    {&parts[0], &parts[1], &parts[2]}, weights)
+                    .TakeValue();
+  const double w0 = 0.3 / 2.0, w2 = 1.7 / 2.0;
+  for (size_t i = 1; i < 40; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      double expected = 0.0;
+      expected += w0 * parts[0].at(i, j);
+      expected += w2 * parts[2].at(i, j);
+      ASSERT_EQ(merged.at(i, j), expected) << i << "," << j;
+    }
+  }
+}
+
 TEST(DissimilarityMatrixTest, WeightedMergeValidation) {
   DissimilarityMatrix a(2), b(3);
   EXPECT_FALSE(DissimilarityMatrix::WeightedMerge({&a, &b}, {1.0, 1.0}).ok());
