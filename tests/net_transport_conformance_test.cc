@@ -11,6 +11,11 @@
 // contract must hold bit-identically with a foreign session in flight,
 // and the chaff must come out of "s2" untouched afterwards — that is the
 // isolation guarantee concurrent clustering sessions rely on.
+//
+// A third dimension puts a `FaultyNetwork` with the `none` profile between
+// the backend and the party under test (below the session view in
+// multiplexed mode, the composition the chaos suites use): a wrapper that
+// injects no faults must pass the whole contract through unchanged.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/faulty_network.h"
 #include "net/in_memory_network.h"
 #include "net/network.h"
 #include "net/session_network.h"
@@ -33,6 +39,7 @@ struct ConformanceParam {
   BackendKind backend;
   TransportSecurity security;
   bool multiplexed;
+  bool faulty = false;
 };
 
 constexpr char kChaffSession[] = "s2";
@@ -45,6 +52,7 @@ std::string ParamName(const ::testing::TestParamInfo<ConformanceParam>& info) {
   name += info.param.security == TransportSecurity::kPlaintext ? "Plaintext"
                                                                : "Encrypted";
   if (info.param.multiplexed) name += "Mux";
+  if (info.param.faulty) name += "Faulty";
   return name;
 }
 
@@ -82,11 +90,18 @@ class TransportConformanceTest
             << "chaff frames never arrived";
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      view_ = std::make_unique<SessionNetwork>(base_.get(), "s1");
-      net_ = view_.get();
-    } else {
-      net_ = base_.get();
     }
+    Network* under_test = base_.get();
+    if (GetParam().faulty) {
+      faulty_ = std::make_unique<FaultyNetwork>(base_.get(), FaultProfile{},
+                                                /*seed=*/1);
+      under_test = faulty_.get();
+    }
+    if (GetParam().multiplexed) {
+      view_ = std::make_unique<SessionNetwork>(under_test, "s1");
+      under_test = view_.get();
+    }
+    net_ = under_test;
   }
 
   void TearDown() override {
@@ -116,8 +131,10 @@ class TransportConformanceTest
   }
 
   std::unique_ptr<Network> base_;
+  std::unique_ptr<FaultyNetwork> faulty_;
   std::unique_ptr<SessionNetwork> view_;
-  /// The network under test: the backend itself, or its "s1" view.
+  /// The network under test: the backend itself, optionally wrapped in a
+  /// fault-free `FaultyNetwork`, optionally seen through its "s1" view.
   Network* net_ = nullptr;
 };
 
@@ -317,26 +334,25 @@ TEST_P(TransportConformanceTest, InjectFrameSkipsAccounting) {
   EXPECT_EQ(net_->StatsFor("A", "B").messages, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, TransportConformanceTest,
-    ::testing::Values(
-        ConformanceParam{BackendKind::kInMemory, TransportSecurity::kPlaintext,
-                         false},
-        ConformanceParam{BackendKind::kInMemory,
-                         TransportSecurity::kAuthenticatedEncryption, false},
-        ConformanceParam{BackendKind::kTcp, TransportSecurity::kPlaintext,
-                         false},
-        ConformanceParam{BackendKind::kTcp,
-                         TransportSecurity::kAuthenticatedEncryption, false},
-        ConformanceParam{BackendKind::kInMemory, TransportSecurity::kPlaintext,
-                         true},
-        ConformanceParam{BackendKind::kInMemory,
-                         TransportSecurity::kAuthenticatedEncryption, true},
-        ConformanceParam{BackendKind::kTcp, TransportSecurity::kPlaintext,
-                         true},
-        ConformanceParam{BackendKind::kTcp,
-                         TransportSecurity::kAuthenticatedEncryption, true}),
-    ParamName);
+/// Every (backend, security, multiplexed, faulty) combination.
+std::vector<ConformanceParam> AllParams() {
+  std::vector<ConformanceParam> params;
+  for (bool faulty : {false, true}) {
+    for (bool multiplexed : {false, true}) {
+      for (BackendKind backend : {BackendKind::kInMemory, BackendKind::kTcp}) {
+        for (TransportSecurity security :
+             {TransportSecurity::kPlaintext,
+              TransportSecurity::kAuthenticatedEncryption}) {
+          params.push_back({backend, security, multiplexed, faulty});
+        }
+      }
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, TransportConformanceTest,
+                         ::testing::ValuesIn(AllParams()), ParamName);
 
 // --------------------------------------------------------- TCP-specific --
 
