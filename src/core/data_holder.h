@@ -252,7 +252,7 @@ class DataHolder {
   /// The one blocking receive of this party: `Receive` bound to the
   /// session's cancel token (see `BindCancelToken`).
   Result<Message> Recv(const std::string& from, const std::string& topic) {
-    return network_->ReceiveCancellable(name_, from, topic, cancel_);
+    return network_->Receive(name_, from, topic, cancel_);
   }
 
   /// Refcounted variant for payloads shared by several tile builds: the

@@ -217,7 +217,7 @@ class ThirdParty {
   /// The one blocking receive of this party: `Receive` bound to the
   /// session's cancel token (see `BindCancelToken`).
   Result<Message> Recv(const std::string& from, const std::string& topic) {
-    return network_->ReceiveCancellable(name_, from, topic, cancel_);
+    return network_->Receive(name_, from, topic, cancel_);
   }
 
   std::string name_;

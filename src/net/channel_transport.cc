@@ -9,7 +9,7 @@
 namespace ppc {
 
 ChannelTransport::ChannelTransport(TransportSecurity security)
-    : security_(security), master_key_(SecureChannel::kMasterKey) {}
+    : Network(security), master_key_(SecureChannel::kMasterKey) {}
 
 ChannelTransport::Endpoint* ChannelTransport::FindEndpoint(
     const std::string& name) const {
@@ -31,7 +31,7 @@ ChannelTransport::ChannelState* ChannelTransport::ChannelForLocked(
     slot = std::make_unique<ChannelState>();
     slot->name = session.empty() ? from + "->" + to
                                  : from + "->" + to + "#" + session;
-    if (security_ == TransportSecurity::kAuthenticatedEncryption) {
+    if (security() == TransportSecurity::kAuthenticatedEncryption) {
       // All key derivation and key expansion for this directed channel
       // happens here, once; every later Seal/Open reuses the context. The
       // key binds the session id, so cross-session frames never verify.
@@ -72,7 +72,7 @@ Result<std::string> ChannelTransport::PrepareFrame(
   // Frame construction runs outside every lock; concurrent senders only
   // contend on the atomic nonce counter.
   std::string wire;
-  if (security_ == TransportSecurity::kPlaintext) {
+  if (security() == TransportSecurity::kPlaintext) {
     wire = payload;
   } else {
     // Claim the next nonce, refusing once the space is spent: the counter
@@ -104,7 +104,7 @@ Result<std::string> ChannelTransport::PrepareFrame(
     auto tap_it = taps_.find(std::make_pair(from, to));
     if (tap_it != taps_.end()) {
       for (const TapEntry& entry : tap_it->second) {
-        if (entry.filtered && entry.session != session) continue;
+        if (entry.session && *entry.session != session) continue;
         matching.push_back(entry.tap);
       }
     }
@@ -125,17 +125,11 @@ void ChannelTransport::DeliverLocal(Endpoint* endpoint, Message message) {
   endpoint->arrival.NotifyAll();
 }
 
-Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
-                                            const std::string& to,
-                                            const std::string& from,
-                                            const std::string& expected_topic) {
-  return ReceiveOnCancellable(session, to, from, expected_topic, nullptr);
-}
-
 namespace {
 
-/// Channel context appended to every blocking-receive failure so a stuck
-/// session reads as "who was waiting on whom, for what" in the log.
+/// Channel context appended to every receive failure so a stuck or
+/// misrouted session reads as "who was waiting on whom, for what" in the
+/// log.
 std::string ReceiveContext(const std::string& session, const std::string& from,
                            const std::string& to, const std::string& topic) {
   std::string out = " (session '" + session + "', " + from + " -> " + to;
@@ -146,9 +140,11 @@ std::string ReceiveContext(const std::string& session, const std::string& from,
 
 }  // namespace
 
-Result<Message> ChannelTransport::ReceiveOnCancellable(
-    const std::string& session, const std::string& to, const std::string& from,
-    const std::string& expected_topic, const CancelToken* cancel) {
+Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
+                                            const std::string& to,
+                                            const std::string& from,
+                                            const std::string& expected_topic,
+                                            const CancelToken* cancel) {
   // How often a blocked receive wakes to poll the cancel token. Bounds
   // how long a cancelled session can keep its worker parked.
   constexpr std::chrono::milliseconds kCancelPollSlice(50);
@@ -185,15 +181,17 @@ Result<Message> ChannelTransport::ReceiveOnCancellable(
         if (!expected_topic.empty() && front.topic != expected_topic) {
           return Status::ProtocolViolation(
               "expected topic '" + expected_topic + "' from '" + from +
-              "' but next message has topic '" + front.topic + "'");
+              "' but next message has topic '" + front.topic + "'" +
+              ReceiveContext(session, from, to, expected_topic));
         }
         msg = std::move(front);
         queue_it->second.pop_front();
         break;
       }
       if (timeout.count() <= 0) {
-        return Status::NotFound("no pending message from '" + from +
-                                "' to '" + to + "'");
+        return Status::NotFound(
+            "no pending message from '" + from + "' to '" + to + "'" +
+            ReceiveContext(session, from, to, expected_topic));
       }
       // Wake at the earliest of the transport deadline, the token's own
       // deadline, and the poll slice, so cancellation and deadline expiry
@@ -241,104 +239,48 @@ Result<Message> ChannelTransport::ReceiveOnCancellable(
   return msg;
 }
 
-size_t ChannelTransport::PendingCount(const std::string& to) const {
+size_t ChannelTransport::PendingCountOn(
+    const std::optional<std::string>& session, const std::string& to) const {
   Endpoint* endpoint = FindEndpoint(to);
   if (endpoint == nullptr) return 0;
   MutexLock lock(endpoint->mutex);
   size_t total = 0;
-  for (const auto& [key, queue] : endpoint->queues) total += queue.size();
-  return total;
-}
-
-size_t ChannelTransport::PendingCountOn(const std::string& session,
-                                        const std::string& to) const {
-  Endpoint* endpoint = FindEndpoint(to);
-  if (endpoint == nullptr) return 0;
-  MutexLock lock(endpoint->mutex);
-  size_t total = 0;
-  for (const auto& [key, queue] : endpoint->queues) {
-    if (key.first == session) total += queue.size();
+  auto it = session ? endpoint->queues.lower_bound({*session, ""})
+                    : endpoint->queues.begin();
+  for (; it != endpoint->queues.end(); ++it) {
+    if (session && it->first.first != *session) break;
+    total += it->second.size();
   }
   return total;
 }
 
-ChannelStats ChannelTransport::StatsFor(const std::string& from,
-                                        const std::string& to) const {
-  // Sums the from -> to channels of every session: what this endpoint
-  // shipped between the two parties, regardless of the session it
-  // belonged to. StatsOn isolates one session.
+ChannelStats ChannelTransport::StatsOn(
+    const std::optional<std::string>& session,
+    const std::optional<std::string>& from,
+    const std::optional<std::string>& to) const {
   MutexLock lock(registry_mutex_);
   ChannelStats total;
-  for (const auto& [key, state] : channels_) {
-    if (std::get<1>(key) != from || std::get<2>(key) != to || !state) continue;
+  auto add = [&total](const std::unique_ptr<ChannelState>& state) {
+    if (!state) return;
     total.messages += state->messages.load(std::memory_order_relaxed);
     total.payload_bytes += state->payload_bytes.load(std::memory_order_relaxed);
     total.wire_bytes += state->wire_bytes.load(std::memory_order_relaxed);
+  };
+  if (session && from && to) {
+    auto it = channels_.find(ChannelKey(*session, *from, *to));
+    if (it != channels_.end()) add(it->second);
+    return total;
   }
-  return total;
-}
-
-ChannelStats ChannelTransport::StatsOn(const std::string& session,
-                                       const std::string& from,
-                                       const std::string& to) const {
-  MutexLock lock(registry_mutex_);
-  auto it = channels_.find(ChannelKey(session, from, to));
-  if (it == channels_.end() || !it->second) return ChannelStats{};
-  ChannelStats stats;
-  stats.messages = it->second->messages.load(std::memory_order_relaxed);
-  stats.payload_bytes =
-      it->second->payload_bytes.load(std::memory_order_relaxed);
-  stats.wire_bytes = it->second->wire_bytes.load(std::memory_order_relaxed);
-  return stats;
-}
-
-ChannelStats ChannelTransport::TotalSentBy(const std::string& party) const {
-  MutexLock lock(registry_mutex_);
-  ChannelStats total;
-  for (const auto& [key, state] : channels_) {
-    if (std::get<1>(key) != party || !state) continue;
-    total.messages += state->messages.load(std::memory_order_relaxed);
-    total.payload_bytes += state->payload_bytes.load(std::memory_order_relaxed);
-    total.wire_bytes += state->wire_bytes.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-ChannelStats ChannelTransport::TotalSentByOn(const std::string& session,
-                                             const std::string& party) const {
-  MutexLock lock(registry_mutex_);
-  ChannelStats total;
-  for (const auto& [key, state] : channels_) {
-    if (std::get<0>(key) != session || std::get<1>(key) != party || !state) {
-      continue;
-    }
-    total.messages += state->messages.load(std::memory_order_relaxed);
-    total.payload_bytes += state->payload_bytes.load(std::memory_order_relaxed);
-    total.wire_bytes += state->wire_bytes.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-ChannelStats ChannelTransport::GrandTotal() const {
-  MutexLock lock(registry_mutex_);
-  ChannelStats total;
-  for (const auto& [key, state] : channels_) {
-    if (!state) continue;
-    total.messages += state->messages.load(std::memory_order_relaxed);
-    total.payload_bytes += state->payload_bytes.load(std::memory_order_relaxed);
-    total.wire_bytes += state->wire_bytes.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-ChannelStats ChannelTransport::GrandTotalOn(const std::string& session) const {
-  MutexLock lock(registry_mutex_);
-  ChannelStats total;
-  for (const auto& [key, state] : channels_) {
-    if (std::get<0>(key) != session || !state) continue;
-    total.messages += state->messages.load(std::memory_order_relaxed);
-    total.payload_bytes += state->payload_bytes.load(std::memory_order_relaxed);
-    total.wire_bytes += state->wire_bytes.load(std::memory_order_relaxed);
+  // Keys sort by (session, from, to): a known session is one contiguous
+  // range, entered at its sender when one is given.
+  auto it = session ? channels_.lower_bound(
+                          ChannelKey(*session, from.value_or(""), ""))
+                    : channels_.begin();
+  for (; it != channels_.end(); ++it) {
+    const auto& [key_session, key_from, key_to] = it->first;
+    if (session && key_session != *session) break;
+    if ((from && key_from != *from) || (to && key_to != *to)) continue;
+    add(it->second);
   }
   return total;
 }
@@ -354,28 +296,18 @@ void ChannelTransport::ResetStats() {
   }
 }
 
-void ChannelTransport::AddTapEntry(const std::string& from,
-                                   const std::string& to, TapEntry entry) {
-  MutexLock lock(tap_mutex_);
-  taps_[std::make_pair(from, to)].push_back(std::move(entry));
-}
-
-void ChannelTransport::AddTap(const std::string& from, const std::string& to,
-                              Tap tap) {
-  AddTapEntry(from, to, TapEntry{false, std::string(), std::move(tap)});
-}
-
-void ChannelTransport::AddTapOn(const std::string& session,
+void ChannelTransport::AddTapOn(const std::optional<std::string>& session,
                                 const std::string& from, const std::string& to,
                                 Tap tap) {
-  AddTapEntry(from, to, TapEntry{true, session, std::move(tap)});
+  MutexLock lock(tap_mutex_);
+  taps_[std::make_pair(from, to)].push_back(TapEntry{session, std::move(tap)});
 }
 
 Status ChannelTransport::SetNonceCounterForTesting(const std::string& session,
                                                    const std::string& from,
                                                    const std::string& to,
                                                    uint64_t value) {
-  if (security_ != TransportSecurity::kAuthenticatedEncryption) {
+  if (security() != TransportSecurity::kAuthenticatedEncryption) {
     return Status::FailedPrecondition(
         "plaintext transports have no nonce counters");
   }

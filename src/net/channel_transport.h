@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -37,48 +38,17 @@ namespace ppc {
 /// session is the pre-multiplexing transport, bit-for-bit.
 class ChannelTransport : public Network {
  public:
-  // -- The shared half of the Network contract ------------------------------
-
-  Status Send(const std::string& from, const std::string& to,
-              const std::string& topic, std::string payload) override {
-    return SendOn(kDefaultSession, from, to, topic, std::move(payload));
-  }
-  Result<Message> Receive(const std::string& to, const std::string& from,
-                          const std::string& expected_topic = "") override {
-    return ReceiveOn(kDefaultSession, to, from, expected_topic);
-  }
-  Status InjectFrame(const std::string& from, const std::string& to,
-                     const std::string& topic,
-                     std::string wire_bytes) override {
-    return InjectFrameOn(kDefaultSession, from, to, topic,
-                         std::move(wire_bytes));
-  }
-
-  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
-                            const std::string& from,
-                            const std::string& expected_topic = "") override
-      EXCLUDES(registry_mutex_);
-
-  Result<Message> ReceiveCancellable(const std::string& to,
-                                     const std::string& from,
-                                     const std::string& expected_topic,
-                                     const CancelToken* cancel) override {
-    return ReceiveOnCancellable(kDefaultSession, to, from, expected_topic,
-                                cancel);
-  }
+  // -- The shared half of the Network core ----------------------------------
 
   /// The real blocking receive of every queue-based backend: waits in
   /// short slices, re-checking `cancel` (when non-null) each wake, so a
   /// cancelled or deadline-expired session unblocks in at most one slice.
-  /// An exhausted transport timeout is `kUnavailable` with the session,
-  /// channel, and topic in the message; a token deadline/cancellation
-  /// keeps the token's own code (`kDeadlineExceeded` or the cancel
-  /// reason), likewise decorated.
-  Result<Message> ReceiveOnCancellable(const std::string& session,
-                                       const std::string& to,
-                                       const std::string& from,
-                                       const std::string& expected_topic,
-                                       const CancelToken* cancel) override
+  /// Every failure carries the session, channel, and topic in its message
+  /// (see `Network::ReceiveOn` for the codes).
+  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
+                            const std::string& from,
+                            const std::string& expected_topic = "",
+                            const CancelToken* cancel = nullptr) override
       EXCLUDES(registry_mutex_);
 
   /// Frees every trace of `session`: its directed channels (counters,
@@ -97,31 +67,21 @@ class ChannelTransport : public Network {
         receive_timeout_.load(std::memory_order_relaxed));
   }
 
-  size_t PendingCount(const std::string& to) const override
-      EXCLUDES(registry_mutex_);
-  size_t PendingCountOn(const std::string& session,
+  /// Given a session, walks only that session's queues.
+  size_t PendingCountOn(const std::optional<std::string>& session,
                         const std::string& to) const override
       EXCLUDES(registry_mutex_);
-  ChannelStats StatsFor(const std::string& from,
-                        const std::string& to) const override
-      EXCLUDES(registry_mutex_);
-  ChannelStats StatsOn(const std::string& session, const std::string& from,
-                       const std::string& to) const override
-      EXCLUDES(registry_mutex_);
-  ChannelStats TotalSentBy(const std::string& party) const override
-      EXCLUDES(registry_mutex_);
-  ChannelStats TotalSentByOn(const std::string& session,
-                             const std::string& party) const override
-      EXCLUDES(registry_mutex_);
-  ChannelStats GrandTotal() const override EXCLUDES(registry_mutex_);
-  ChannelStats GrandTotalOn(const std::string& session) const override
+  /// One filtered walk of the ordered channel map: given a session (and
+  /// sender), only that key range; an exact (session, from, to) is a
+  /// single lookup.
+  ChannelStats StatsOn(const std::optional<std::string>& session,
+                       const std::optional<std::string>& from,
+                       const std::optional<std::string>& to) const override
       EXCLUDES(registry_mutex_);
   void ResetStats() override EXCLUDES(registry_mutex_);
-  void AddTap(const std::string& from, const std::string& to, Tap tap) override
-      EXCLUDES(tap_mutex_);
-  void AddTapOn(const std::string& session, const std::string& from,
-                const std::string& to, Tap tap) override EXCLUDES(tap_mutex_);
-  TransportSecurity security() const override { return security_; }
+  void AddTapOn(const std::optional<std::string>& session,
+                const std::string& from, const std::string& to,
+                Tap tap) override EXCLUDES(tap_mutex_);
 
   /// Test hook for the nonce-exhaustion contract: pins the nonce counter
   /// of the `(session, from, to)` channel (created on first use) so a
@@ -169,9 +129,10 @@ class ChannelTransport : public Network {
   using ChannelKey = std::tuple<std::string, std::string, std::string>;
 
   /// Registry lookup (takes registry_mutex_): endpoint for `name`, or
-  /// nullptr. Endpoint and ChannelState objects are heap-allocated and
-  /// never destroyed while the transport lives, so returned pointers stay
-  /// valid after the lock is released.
+  /// nullptr. Endpoint and ChannelState objects are heap-allocated, so
+  /// returned pointers stay valid after the lock is released: an Endpoint
+  /// for the transport's lifetime, a ChannelState until `PurgeSession`
+  /// erases its session.
   Endpoint* FindEndpoint(const std::string& name) const
       EXCLUDES(registry_mutex_);
 
@@ -191,7 +152,7 @@ class ChannelTransport : public Network {
   /// for `to` (nullptr if unregistered) and, when `channel` is non-null,
   /// the session's `from` -> `to` channel state if that channel already
   /// exists (never created here — a fruitless Receive must leave no state
-  /// behind). Returned pointers stay valid for the transport's lifetime.
+  /// behind). Returned pointers stay valid as `FindEndpoint`'s do.
   Endpoint* ResolveReceive(const std::string& session, const std::string& to,
                            const std::string& from, ChannelState** channel)
       EXCLUDES(registry_mutex_);
@@ -231,18 +192,13 @@ class ChannelTransport : public Network {
       GUARDED_BY(registry_mutex_);
 
  private:
-  /// One registered eavesdropper: fires for every frame of its channel,
-  /// or only for one session's frames when filtered.
+  /// One registered eavesdropper: fires for the frames of its channel on
+  /// `session`, or on every session when absent.
   struct TapEntry {
-    bool filtered = false;
-    std::string session;
+    std::optional<std::string> session;
     Tap tap;
   };
 
-  void AddTapEntry(const std::string& from, const std::string& to,
-                   TapEntry entry) EXCLUDES(tap_mutex_);
-
-  TransportSecurity security_;
   std::string master_key_;  // Root of per-channel transport keys.
 
   /// Guards tap registration (tap invocation snapshots under the lock

@@ -53,7 +53,7 @@ Result<FaultProfile> FaultProfileFromName(const std::string& name) {
 
 FaultyNetwork::FaultyNetwork(Network* base, FaultProfile profile,
                              uint64_t seed)
-    : base_(base), profile_(profile), seed_(seed) {}
+    : ForwardingNetwork(base), profile_(profile), seed_(seed) {}
 
 FaultyNetwork::FaultCounts FaultyNetwork::fault_counts() const {
   MutexLock lock(chaos_mutex_);
@@ -152,16 +152,6 @@ FaultyNetwork::Decision FaultyNetwork::Decide(const std::string& session,
   return decision;
 }
 
-Status FaultyNetwork::ForwardSend(const std::string& session,
-                                  const std::string& from,
-                                  const std::string& to,
-                                  const std::string& topic,
-                                  std::string payload) {
-  PPC_RETURN_IF_ERROR(base_->SendOn(session, from, to, topic,
-                                    std::move(payload)));
-  return Status::OK();
-}
-
 Status FaultyNetwork::SendOn(const std::string& session,
                              const std::string& from, const std::string& to,
                              const std::string& topic, std::string payload) {
@@ -199,12 +189,12 @@ Status FaultyNetwork::SendOn(const std::string& session,
     case FaultKind::kDelay:
       std::this_thread::sleep_for(
           std::chrono::milliseconds(decision.delay_ms));
-      result = ForwardSend(session, from, to, topic, std::move(payload));
+      result = base_->SendOn(session, from, to, topic, std::move(payload));
       break;
     case FaultKind::kDuplicate: {
-      result = ForwardSend(session, from, to, topic, std::move(payload));
+      result = base_->SendOn(session, from, to, topic, std::move(payload));
       if (result.ok()) {
-        // Replay the exact sealed bytes captured by ForwardSend.
+        // Replay the exact sealed bytes the capture tap just recorded.
         std::string wire;
         {
           MutexLock lock(chaos_mutex_);
@@ -218,13 +208,13 @@ Status FaultyNetwork::SendOn(const std::string& session,
       break;
     }
     case FaultKind::kNone:
-      result = ForwardSend(session, from, to, topic, std::move(payload));
+      result = base_->SendOn(session, from, to, topic, std::move(payload));
       break;
   }
   if (!result.ok()) return result;
   if (decision.release_held) {
-    return ForwardSend(session, from, to, decision.held_topic,
-                       std::move(decision.held_payload));
+    return base_->SendOn(session, from, to, decision.held_topic,
+                         std::move(decision.held_payload));
   }
   return Status::OK();
 }

@@ -6,9 +6,9 @@
 namespace ppc {
 
 /// The logical session id of the single-session deployments that predate
-/// session multiplexing. The plain `Network` methods (`Send`, `Receive`,
-/// ...) operate on this session; the `...On` variants take an explicit
-/// id. Default-session traffic is byte-identical to the pre-multiplexing
+/// session multiplexing. On a transport (an unbound `Network`) the plain
+/// `Send`, `Receive` and `InjectFrame` use this session; the `...On`
+/// spellings take an explicit id. Default-session traffic is byte-identical to the pre-multiplexing
 /// wire format's, so captures and goldens carry over.
 inline constexpr char kDefaultSession[] = "";
 

@@ -5,27 +5,4 @@ namespace ppc {
 // Out-of-line key function so the interface's vtable has a home TU.
 Network::~Network() = default;
 
-Result<Message> Network::ReceiveCancellable(const std::string& to,
-                                            const std::string& from,
-                                            const std::string& expected_topic,
-                                            const CancelToken* cancel) {
-  if (cancel != nullptr) {
-    PPC_RETURN_IF_ERROR(cancel->Check());
-  }
-  return Receive(to, from, expected_topic);
-}
-
-Result<Message> Network::ReceiveOnCancellable(const std::string& session,
-                                              const std::string& to,
-                                              const std::string& from,
-                                              const std::string& expected_topic,
-                                              const CancelToken* cancel) {
-  if (cancel != nullptr) {
-    PPC_RETURN_IF_ERROR(cancel->Check());
-  }
-  return ReceiveOn(session, to, from, expected_topic);
-}
-
-void Network::PurgeSession(const std::string& /*session*/) {}
-
 }  // namespace ppc

@@ -4,149 +4,38 @@
 #include <string>
 #include <utility>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "net/network.h"
 
 namespace ppc {
 
 /// A `Network` view that binds one session id over a shared transport:
-/// every plain call (`Send`, `Receive`, `PendingCount`, ...) becomes the
-/// corresponding session-scoped call on the base. The protocol stack —
-/// parties, schedule executors, `PartyRunner` — takes a `Network*` and
-/// knows nothing about sessions; handing it one of these runs an entire
+/// its plain spellings (`Send`, `Receive`, `PendingCount`, ...) act on the
+/// bound session (see `Network`'s binding). The protocol stack — parties,
+/// schedule executors, `PartyRunner` — takes a `Network*` and knows
+/// nothing about sessions; handing it one of these runs an entire
 /// clustering session multiplexed over whatever transport (and, on TCP,
 /// whatever pooled connections) the base provides. `SessionRegistry`
 /// creates one view per concurrent session.
 ///
-/// Semantics:
-///   * `RegisterParty` tolerates kAlreadyExists: parties belong to the
-///     transport, not the session, and N concurrent sessions share them.
-///   * Stats/pending/taps/inject are scoped to the bound session.
-///   * `ResetStats`, `set_receive_timeout` and `security` remain
-///     transport-global — a view cannot reset or retime just its slice.
-///   * The explicitly-scoped `...On` calls pass through unchanged, so a
-///     view composes with session-aware callers too.
+/// The core forwards to the base unchanged, so the explicit `...On`
+/// spellings and the transport-global calls (`ResetStats`, the receive
+/// timeout) behave exactly as on the base. The one difference:
+/// `RegisterParty` tolerates kAlreadyExists, because parties belong to the
+/// transport, not the session, and N concurrent sessions share them.
 ///
 /// The view holds no state beyond the id; it is as thread-safe as the
 /// base and must not outlive it.
-class SessionNetwork : public Network {
+class SessionNetwork : public ForwardingNetwork {
  public:
   SessionNetwork(Network* base, std::string session)
-      : base_(base), session_(std::move(session)) {}
-
-  const std::string& session() const { return session_; }
-  Network* base() const { return base_; }
+      : ForwardingNetwork(base, std::move(session)) {}
 
   Status RegisterParty(const std::string& name) override {
     Status status = base_->RegisterParty(name);
     if (status.code() == StatusCode::kAlreadyExists) return Status::OK();
     return status;
   }
-  bool HasParty(const std::string& name) const override {
-    return base_->HasParty(name);
-  }
-  Status Send(const std::string& from, const std::string& to,
-              const std::string& topic, std::string payload) override {
-    return base_->SendOn(session_, from, to, topic, std::move(payload));
-  }
-  Result<Message> Receive(const std::string& to, const std::string& from,
-                          const std::string& expected_topic = "") override {
-    return base_->ReceiveOn(session_, to, from, expected_topic);
-  }
-  void set_receive_timeout(std::chrono::milliseconds timeout) override {
-    base_->set_receive_timeout(timeout);
-  }
-  std::chrono::milliseconds receive_timeout() const override {
-    return base_->receive_timeout();
-  }
-  size_t PendingCount(const std::string& to) const override {
-    return base_->PendingCountOn(session_, to);
-  }
-  ChannelStats StatsFor(const std::string& from,
-                        const std::string& to) const override {
-    return base_->StatsOn(session_, from, to);
-  }
-  ChannelStats TotalSentBy(const std::string& party) const override {
-    return base_->TotalSentByOn(session_, party);
-  }
-  ChannelStats GrandTotal() const override {
-    return base_->GrandTotalOn(session_);
-  }
-  void ResetStats() override { base_->ResetStats(); }
-  void AddTap(const std::string& from, const std::string& to,
-              Tap tap) override {
-    base_->AddTapOn(session_, from, to, std::move(tap));
-  }
-  Status InjectFrame(const std::string& from, const std::string& to,
-                     const std::string& topic,
-                     std::string wire_bytes) override {
-    return base_->InjectFrameOn(session_, from, to, topic,
-                                std::move(wire_bytes));
-  }
-  TransportSecurity security() const override { return base_->security(); }
-
-  // Explicit-session calls pass through untouched.
-  Status SendOn(const std::string& session, const std::string& from,
-                const std::string& to, const std::string& topic,
-                std::string payload) override {
-    return base_->SendOn(session, from, to, topic, std::move(payload));
-  }
-  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
-                            const std::string& from,
-                            const std::string& expected_topic = "") override {
-    return base_->ReceiveOn(session, to, from, expected_topic);
-  }
-  size_t PendingCountOn(const std::string& session,
-                        const std::string& to) const override {
-    return base_->PendingCountOn(session, to);
-  }
-  ChannelStats StatsOn(const std::string& session, const std::string& from,
-                       const std::string& to) const override {
-    return base_->StatsOn(session, from, to);
-  }
-  ChannelStats TotalSentByOn(const std::string& session,
-                             const std::string& party) const override {
-    return base_->TotalSentByOn(session, party);
-  }
-  ChannelStats GrandTotalOn(const std::string& session) const override {
-    return base_->GrandTotalOn(session);
-  }
-  void AddTapOn(const std::string& session, const std::string& from,
-                const std::string& to, Tap tap) override {
-    base_->AddTapOn(session, from, to, std::move(tap));
-  }
-  Status InjectFrameOn(const std::string& session, const std::string& from,
-                       const std::string& to, const std::string& topic,
-                       std::string wire_bytes) override {
-    return base_->InjectFrameOn(session, from, to, topic,
-                                std::move(wire_bytes));
-  }
-
-  // Cancellation-aware calls: the plain form binds the view's session,
-  // the explicit form passes through, purge forwards to the base.
-  Result<Message> ReceiveCancellable(const std::string& to,
-                                     const std::string& from,
-                                     const std::string& expected_topic,
-                                     const CancelToken* cancel) override {
-    return base_->ReceiveOnCancellable(session_, to, from, expected_topic,
-                                       cancel);
-  }
-  Result<Message> ReceiveOnCancellable(const std::string& session,
-                                       const std::string& to,
-                                       const std::string& from,
-                                       const std::string& expected_topic,
-                                       const CancelToken* cancel) override {
-    return base_->ReceiveOnCancellable(session, to, from, expected_topic,
-                                       cancel);
-  }
-  void PurgeSession(const std::string& session) override {
-    base_->PurgeSession(session);
-  }
-
- private:
-  Network* base_;
-  std::string session_;
 };
 
 }  // namespace ppc

@@ -336,8 +336,8 @@ TEST(SessionCancelTest, CancelSessionUnwedgesABlockedReceivePromptly) {
                   .StartSession("stuck",
                                 [](Network* snet, CancelToken* cancel) {
                                   // Waits on a frame that never comes.
-                                  return snet->ReceiveCancellable(
-                                                   "A", "TP", "never", cancel)
+                                  return snet->Receive("A", "TP", "never",
+                                                       cancel)
                                       .status();
                                 })
                   .ok());

@@ -156,6 +156,25 @@ TEST_P(SessionMuxTest, TapsFilterBySessionAndCarryTheSessionId) {
   EXPECT_EQ(only_s1[0], "s1");
 }
 
+TEST_P(SessionMuxTest, ReceiveErrorsNameTheirSession) {
+  // Every receive failure says which session, channel and topic it was
+  // on — not only the blocking timeouts.
+  ASSERT_TRUE(net_->SendOn("s1", "A", "B", "actual", "x").ok());
+  auto mismatch = net_->ReceiveOn("s1", "B", "A", "expected");
+  EXPECT_EQ(mismatch.status().code(), StatusCode::kProtocolViolation);
+  EXPECT_NE(mismatch.status().message().find("session 's1'"),
+            std::string::npos)
+      << mismatch.status().ToString();
+  EXPECT_NE(mismatch.status().message().find("A -> B"), std::string::npos)
+      << mismatch.status().ToString();
+
+  net_->set_receive_timeout(std::chrono::milliseconds(0));
+  auto empty = net_->ReceiveOn("s2", "B", "A", "t");
+  EXPECT_EQ(empty.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(empty.status().message().find("session 's2'"), std::string::npos)
+      << empty.status().ToString();
+}
+
 TEST_P(SessionMuxTest, NonceExhaustionRefusesFurtherSeals) {
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   ASSERT_TRUE(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lint for the ppclust tree.
 
-Enforces four repo rules that neither the compiler nor clang-tidy can
+Enforces five repo rules that neither the compiler nor clang-tidy can
 express, by scanning source text (with comments and string literals
 stripped where a rule is about *code*):
 
@@ -16,11 +16,12 @@ stripped where a rule is about *code*):
       often need bare condvars for test scaffolding.)
 
   R2  receive-on-reactor
-      No blocking ``Receive(`` / ``ReceiveOn(`` calls in files whose
-      code runs on the EventLoop thread (``src/net/event_loop.*`` and
-      ``src/net/tcp_network.cc``). A blocking receive on the reactor
-      would stall every connection's inbound I/O at once; inbound frames
-      must flow through the nonblocking ``Deliver`` path instead.
+      No ``Receive(`` / ``ReceiveOn(`` calls at all — with or without a
+      cancel token — in files whose code runs on the EventLoop thread
+      (``src/net/event_loop.*`` and ``src/net/tcp_network.cc``). A
+      blocking receive on the reactor would stall every connection's
+      inbound I/O at once; inbound frames must flow through the
+      nonblocking ``Deliver`` path instead.
 
   R3  topic-literals
       Wire-protocol topic strings appear as literals only in
@@ -30,15 +31,23 @@ stripped where a rule is about *code*):
       constants it fails at compile time.
 
   R4  cancel-guarded-receive
-      Outside the transport layer (``src/net/``), no bare ``Receive(`` /
-      ``ReceiveOn(`` calls: protocol and tool code must go through the
-      ``ReceiveCancellable`` / ``ReceiveOnCancellable`` variants (or a
-      helper built on them) so every blocking receive consults the
-      session's cancel token. A bare receive is a wait that
-      ``CancelSession`` / an armed deadline cannot unwedge — exactly the
-      hang the cancellation machinery exists to prevent. A site with no
-      cancellation source passes an explicit null token; that spelling
-      is the audit trail.
+      Outside the transport layer (``src/net/``), every ``Receive(`` /
+      ``ReceiveOn(`` call names its cancel token: it passes all of
+      ``Receive(to, from, topic, cancel)`` /
+      ``ReceiveOn(session, to, from, topic, cancel)``, never leaning on
+      the defaulted trailing arguments, so every blocking receive
+      consults the session's cancel token. A receive without one is a
+      wait that ``CancelSession`` / an armed deadline cannot unwedge —
+      exactly the hang the cancellation machinery exists to prevent. A
+      site with no cancellation source passes an explicit null token;
+      that spelling is the audit trail.
+
+  R5  network-surface
+      ``src/net/network.h`` declares at most ``NETWORK_VIRTUALS_MAX``
+      virtual member functions besides the destructor: the session-keyed
+      core. Convenience spellings belong in non-virtual helpers on
+      ``Network``; a new virtual must replace one, so the surface every
+      backend and wrapper implements cannot creep back up.
 
 Usage:
   check_source.py [--root DIR]     lint DIR (default: repo root) and
@@ -63,14 +72,19 @@ LOCK_PRIMITIVES = re.compile(
 LOCK_PRIMITIVES_EXEMPT = {"src/common/thread_annotations.h"}
 
 # R2: blocking receives must stay off the reactor thread.
-# (The pattern deliberately does not match ReceiveCancellable /
-# ReceiveOnCancellable — those are the R4-sanctioned spellings.)
 RECEIVE_CALL = re.compile(r"\bReceive(On)?\s*\(")
 REACTOR_FILES = re.compile(r"src/net/(event_loop\.(h|cc)|tcp_network\.cc)$")
 
-# R4: outside the transport layer, every blocking receive goes through
-# the cancellable variants so the session's cancel token is consulted.
+# R4: outside the transport layer, every receive passes its cancel token,
+# the last argument: Receive(to, from, topic, cancel) and
+# ReceiveOn(session, to, from, topic, cancel).
 CANCELLABLE_EXEMPT_PREFIX = "src/net/"
+RECEIVE_ARITY = {"Receive": 4, "ReceiveOn": 5}
+
+# R5: the Network core's size (see src/net/network.h).
+NETWORK_HEADER = "src/net/network.h"
+NETWORK_VIRTUALS_MAX = 12
+VIRTUAL_MEMBER = re.compile(r"\bvirtual\s+(?!~)")
 
 # R3: the topic vocabulary, mirrored from src/core/topics.h. Kept as a
 # literal list (not parsed from the header) so renaming a topic without
@@ -155,6 +169,23 @@ def strip_comments_and_strings(text, keep_strings=False):
     return "".join(out)
 
 
+def call_arguments(code, open_paren):
+    """Counts the top-level arguments of the call whose "(" is at
+    `open_paren` in comment- and string-stripped `code`."""
+    depth, commas = 0, 0
+    for i in range(open_paren, len(code)):
+        c = code[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                return commas + 1 if code[open_paren + 1:i].strip() else 0
+        elif c == "," and depth == 1:
+            commas += 1
+    return commas + 1  # Unterminated: count what is there.
+
+
 def lint_file(rel, text):
     """Yields (line, rule, message) violations for one file."""
     rel_posix = pathlib.PurePosixPath(rel).as_posix()
@@ -185,17 +216,29 @@ def lint_file(rel, text):
                     "would stall every connection's inbound I/O",
                 )
     elif not rel_posix.startswith(CANCELLABLE_EXEMPT_PREFIX):
-        for lineno, line in enumerate(code_only.splitlines(), 1):
-            if RECEIVE_CALL.search(line):
+        for match in RECEIVE_CALL.finditer(code_only):
+            name = "ReceiveOn" if match.group(1) else "Receive"
+            if call_arguments(code_only, match.end() - 1) < RECEIVE_ARITY[name]:
                 yield (
-                    lineno,
+                    code_only.count("\n", 0, match.start()) + 1,
                     "cancel-guarded-receive",
-                    "bare Receive/ReceiveOn outside src/net/ — use "
-                    "ReceiveCancellable/ReceiveOnCancellable (pass an "
-                    "explicit null token if the site truly has no "
+                    f"{name} outside src/net/ without a cancel token — "
+                    "pass the session's token as the last argument (an "
+                    "explicit nullptr if the site truly has no "
                     "cancellation source) so CancelSession and armed "
                     "deadlines can unwedge the wait",
                 )
+
+    if rel_posix == NETWORK_HEADER:
+        virtuals = list(VIRTUAL_MEMBER.finditer(code_only))
+        for match in virtuals[NETWORK_VIRTUALS_MAX:]:
+            yield (
+                code_only.count("\n", 0, match.start()) + 1,
+                "network-surface",
+                f"Network declares {len(virtuals)} virtual member "
+                f"functions, above the core's {NETWORK_VIRTUALS_MAX} — add "
+                "a non-virtual helper over the core instead",
+            )
 
     if rel_posix != TOPICS_HEADER:
         for lineno, line in enumerate(with_strings.splitlines(), 1):

@@ -605,9 +605,9 @@ int RunClusterRole(const Flags& flags) {
     (*network)->set_receive_timeout(std::chrono::milliseconds(timeout_ms * 10));
     // Null token: the one-shot coordinator has no cancellation source
     // beyond the transport timeout itself.
-    auto msg = (*network)->ReceiveCancellable(party, holder_order[0],
-                                              topics::kCoordinatorOutcome,
-                                              /*cancel=*/nullptr);
+    auto msg = (*network)->Receive(party, holder_order[0],
+                                   topics::kCoordinatorOutcome,
+                                   /*cancel=*/nullptr);
     if (!msg.ok()) return Fail(msg.status().ToString());
     ByteReader reader(msg->payload);
     auto outcome = ClusteringOutcome::Deserialize(&reader);
@@ -944,9 +944,8 @@ int RunServe(const Flags& flags) {
     // The daemon's main loop is the one deliberately un-cancellable
     // blocking receive in the tree (null token): shutdown arrives as a
     // control record, not a cancellation.
-    auto msg = (*network)->ReceiveCancellable(party, coord_name,
-                                              topics::kJobSubmit,
-                                              /*cancel=*/nullptr);
+    auto msg = (*network)->Receive(party, coord_name, topics::kJobSubmit,
+                                   /*cancel=*/nullptr);
     if (!msg.ok()) {
       // An idle window with no submissions (kUnavailable after the
       // receive timeout; kNotFound from a zero-timeout probe) is not an
@@ -1185,7 +1184,7 @@ int RunSubmit(const Flags& flags) {
   for (const std::string& session : sessions) {
     CancelToken token;
     token.ArmDeadline(static_cast<uint64_t>(deadline_ms));
-    auto msg = (*network)->ReceiveOnCancellable(
+    auto msg = (*network)->ReceiveOn(
         session, coord_name, holder_order[0], /*expected_topic=*/"", &token);
     if (!msg.ok()) {
       ++failed;
