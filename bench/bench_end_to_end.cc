@@ -29,15 +29,14 @@ namespace {
 using testutil::MakeSession;
 using testutil::MatricesOf;
 
-// The PPC_NUM_THREADS / PPC_SCHEDULE / PPC_TILE_SIZE ctest overrides
+// The PPC_NUM_THREADS / PPC_TILE_SIZE ctest overrides
 // (tests/session_test_util.h) must not leak into benchmark fixtures:
-// thread counts, schedule granularity and tiling here are part of the
+// thread counts and tiling here are part of the
 // experiment design, and a silently-overridden leg would corrupt the
 // committed baselines (e.g. a BM_SessionTiled tile=0 label running tiled,
 // or a kernel leg pinned to scalar).
 [[maybe_unused]] const bool kThreadEnvCleared = [] {
   unsetenv("PPC_NUM_THREADS");
-  unsetenv("PPC_SCHEDULE");
   unsetenv("PPC_TILE_SIZE");
   unsetenv("PPC_FORCE_SCALAR_KERNELS");
   return true;
@@ -208,10 +207,9 @@ BENCHMARK(BM_SessionTiled)
     ->ArgsProduct({{128, 512, 1024}, {0, 32, 128}})
     ->Unit(benchmark::kMillisecond);
 
-// Concurrent protocol engine: the same full session as
-// BM_SessionNumericScaling, swept over ProtocolConfig::num_threads (via
-// Run(), which keeps threads=1 on the true sequential schedule — the
-// baseline RunParallel() would override). The paper's deployment is
+// Ready-set executor: the same full session as BM_SessionNumericScaling,
+// swept over ProtocolConfig::num_threads (threads=1 is the canonical-order
+// sequential schedule on the caller's thread). The paper's deployment is
 // inherently parallel (k sites compute independently; the TP only
 // assembles), so threads=1 versus threads=N is the sequential-sum versus
 // max-site-work comparison. Results are bit-identical across the sweep;
@@ -273,43 +271,6 @@ BENCHMARK(BM_SessionMixedTypesThreaded)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-// Schedule-granularity ablation: the same session on the thread-pool
-// executor, over the fine dependency graph versus the conservative
-// responder-grouped one (core/schedule.h). k = 2 is the grouped
-// schedule's worst case — a single responder, so its phase-5 rounds ran
-// strictly serialized; the fine graph overlaps the responder's
-// per-attribute computes, the initiator's masking, and the TP's
-// unmasking. On a single-core box the two legs must track each other
-// (same arithmetic, only edges differ); the gap is the point of the
-// bench on a multi-core capture machine.
-void BM_SessionSchedule(benchmark::State& state) {
-  const bool fine = state.range(0) != 0;
-  const size_t threads = static_cast<size_t>(state.range(1));
-  const size_t k = 2;
-  LabeledDataset data = NumericDataset(192, 7);
-  auto parts = Partitioner::RoundRobin(data, k).TakeValue();
-  ProtocolConfig config;
-  config.num_threads = threads;
-  config.schedule_granularity =
-      fine ? ScheduleGranularity::kFine : ScheduleGranularity::kGrouped;
-
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto fixture =
-        MakeSession(data.data.schema(), MatricesOf(parts), config).TakeValue();
-    state.ResumeTiming();
-    bool ok = fixture.session->RunParallel().ok();
-    benchmark::DoNotOptimize(ok);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.SetLabel(fine ? "fine" : "grouped");
-}
-BENCHMARK(BM_SessionSchedule)
-    ->ArgsProduct({{0, 1}, {1, 4}})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -43,7 +43,6 @@ namespace {
 // bench_end_to_end.cc).
 [[maybe_unused]] const bool kThreadEnvCleared = [] {
   unsetenv("PPC_NUM_THREADS");
-  unsetenv("PPC_SCHEDULE");
   unsetenv("PPC_TILE_SIZE");
   unsetenv("PPC_FORCE_SCALAR_KERNELS");
   return true;

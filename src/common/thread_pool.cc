@@ -2,61 +2,15 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
+
+#include "common/thread_annotations.h"
 
 namespace ppc {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  size_t count = std::max<size_t>(1, num_threads);
-  workers_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.NotifyAll();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mutex_);
-  while (in_flight_ != 0) all_done_.Wait(mutex_);
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) work_available_.Wait(mutex_);
-      if (queue_.empty()) return;  // stopping_ with a drained queue.
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-    {
-      MutexLock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.NotifyAll();
-    }
-  }
-}
-
-void ThreadPool::ParallelFor(size_t n, size_t num_threads,
-                             const std::function<void(size_t, size_t)>& body,
-                             size_t min_items) {
+void ParallelFor(size_t n, size_t num_threads,
+                 const std::function<void(size_t, size_t)>& body,
+                 size_t min_items) {
   if (n == 0) return;
   size_t chunks = std::min(std::max<size_t>(1, num_threads), n);
   if (chunks == 1 || n < min_items) {
@@ -160,24 +114,6 @@ Status RunDagTasks(std::vector<std::function<Status()>> tasks,
   for (size_t t = 0; t < worker_count; ++t) threads.emplace_back(worker);
   for (std::thread& thread : threads) thread.join();
   return failure;
-}
-
-Status RunStatusTasks(std::vector<std::function<Status()>> tasks,
-                      size_t num_threads) {
-  std::vector<Status> statuses(tasks.size());
-  if (num_threads <= 1) {
-    for (size_t i = 0; i < tasks.size(); ++i) statuses[i] = tasks[i]();
-  } else {
-    ThreadPool pool(std::min(num_threads, tasks.size()));
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      pool.Submit([&tasks, &statuses, i] { statuses[i] = tasks[i](); });
-    }
-    pool.Wait();
-  }
-  for (Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
-  return Status::OK();
 }
 
 }  // namespace ppc

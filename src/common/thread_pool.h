@@ -2,75 +2,26 @@
 #define PPC_COMMON_THREAD_POOL_H_
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
 
 namespace ppc {
 
-/// Fixed-size worker pool for the concurrent protocol engine.
-///
-/// Tasks submitted here must be self-contained units that never wait on
-/// other *queued* tasks (the parallel session schedules whole protocol
-/// rounds per task, so every in-task Receive is preceded by the matching
-/// Send on the same thread). Under that contract the pool cannot deadlock.
-///
-/// For data-parallel inner loops use the static `ParallelFor`, which spawns
-/// transient threads instead of borrowing pool workers — a pool task that
-/// parked itself waiting for queued subtasks could deadlock the pool,
-/// transient threads cannot.
-class ThreadPool {
- public:
-  /// Starts `num_threads` workers (at least one).
-  explicit ThreadPool(size_t num_threads);
-
-  /// Joins all workers; pending tasks are completed first.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues `task` for execution on some worker.
-  void Submit(std::function<void()> task) EXCLUDES(mutex_);
-
-  /// Blocks until every task submitted so far has finished.
-  void Wait() EXCLUDES(mutex_);
-
-  size_t num_threads() const { return workers_.size(); }
-
-  /// Runs `body(begin, end)` over a partition of [0, n) across up to
-  /// `num_threads` transient threads (the caller executes the first chunk).
-  /// Chunk boundaries depend only on (n, num_threads), so any computation
-  /// whose chunks are order-independent is bit-identical to the sequential
-  /// run. Falls back to a single inline call when `num_threads <= 1`,
-  /// `n <= 1`, or `n < min_items` (thread spawn costs more than tiny loops
-  /// save).
-  static void ParallelFor(size_t n, size_t num_threads,
-                          const std::function<void(size_t, size_t)>& body,
-                          size_t min_items = 2048);
-
- private:
-  void WorkerLoop() EXCLUDES(mutex_);
-
-  Mutex mutex_;
-  CondVar work_available_;
-  CondVar all_done_;
-  std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
-  size_t in_flight_ GUARDED_BY(mutex_) = 0;  // Queued + running tasks.
-  bool stopping_ GUARDED_BY(mutex_) = false;
-  std::vector<std::thread> workers_;
-};
-
-/// Runs every task in `tasks` through a pool of `num_threads` workers and
-/// returns the first non-OK status in task order (all tasks run to
-/// completion regardless). With `num_threads <= 1` the tasks run inline,
-/// sequentially — the deterministic reference schedule.
-Status RunStatusTasks(std::vector<std::function<Status()>> tasks,
-                      size_t num_threads);
+/// Runs `body(begin, end)` over a partition of [0, n) across up to
+/// `num_threads` transient threads (the caller executes the first chunk).
+/// Chunk boundaries depend only on (n, num_threads), so any computation
+/// whose chunks are order-independent is bit-identical to the sequential
+/// run. Falls back to a single inline call when `num_threads <= 1`,
+/// `n <= 1`, or `n < min_items` (thread spawn costs more than tiny loops
+/// save). Transient threads, rather than borrowed workers, mean a caller
+/// that is itself a `RunDagTasks` worker can never deadlock on its own
+/// chunks.
+void ParallelFor(size_t n, size_t num_threads,
+                 const std::function<void(size_t, size_t)>& body,
+                 size_t min_items = 2048);
 
 /// Ready-set execution of a dependency graph: task `i` starts only after
 /// every task in `deps[i]` completed successfully. Dependencies must point

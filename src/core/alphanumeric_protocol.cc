@@ -54,7 +54,7 @@ AlphanumericProtocol::BuildMaskedGrids(
     }
   }
   std::vector<MaskedGrid> grids(responder_strings.size() * cols);
-  ThreadPool::ParallelFor(
+  ParallelFor(
       grids.size(), num_threads,
       [&](size_t begin, size_t end) {
         for (size_t g = begin; g < end; ++g) {
@@ -134,7 +134,7 @@ Result<std::vector<uint64_t>> AlphanumericProtocol::RecoverDistances(
     }
   }
   std::atomic<bool> malformed{false};
-  ThreadPool::ParallelFor(
+  ParallelFor(
       grids.size(), num_threads,
       [&](size_t begin, size_t end) {
         for (size_t g = begin; g < end; ++g) {

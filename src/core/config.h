@@ -28,22 +28,6 @@ enum class MaskingMode : uint8_t {
 /// Canonical name of `mode` ("batch" / "per-pair").
 const char* MaskingModeToString(MaskingMode mode);
 
-/// How much parallelism the protocol schedule graph exposes to the
-/// concurrent executor (core/schedule.h). Results are bit-identical either
-/// way; only the dependency edges differ.
-enum class ScheduleGranularity : uint8_t {
-  /// Full dependency tracking: a responder round depends only on its own
-  /// inbound message, so per-attribute computes of one responder — and
-  /// phase-5 work overlapping phase-4 stragglers — run concurrently.
-  kFine = 0,
-  /// Conservative escape hatch: extra edges serialize each responder's
-  /// phase-5 rounds (the pre-graph engine's responder grouping).
-  kGrouped = 1,
-};
-
-/// Canonical name of `granularity` ("fine" / "grouped").
-const char* ScheduleGranularityToString(ScheduleGranularity granularity);
-
 /// Shared parameters every participant (data holders and third party) must
 /// agree on before the protocol starts, alongside the attribute `Schema`.
 struct ProtocolConfig {
@@ -58,25 +42,23 @@ struct ProtocolConfig {
   /// Fixed-point precision for real-valued attributes (decimal digits kept).
   int real_decimal_digits = 6;
 
-  /// Worker threads for the concurrent protocol engine. The single rule,
-  /// honored by both `ClusteringSession::Run` and `RunParallel`:
+  /// Worker threads for the protocol. The single rule, honored by
+  /// `ClusteringSession::Run`:
   ///
   ///   * 1 (the default) — every phase on the caller's thread, the
   ///     deterministic sequential reference schedule.
   ///   * 0 — auto: resolve to the hardware concurrency.
-  ///   * n > 1 — the concurrent engine with exactly n workers, driving
-  ///     independent protocol rounds concurrently and parallelizing the
-  ///     O(n^2) inner loops.
+  ///   * n > 1 — the schedule graph's ready set on exactly n workers,
+  ///     driving independent protocol rounds concurrently and
+  ///     parallelizing the O(n^2) inner loops.
+  ///
+  /// A party run alone by `PartyRunner` executes its steps in canonical
+  /// order; there `num_threads` only splits the O(n^2) row kernels.
   ///
   /// Because every mask stream is derived from a per-(attribute,
   /// initiator, responder) label, results are bit-identical across thread
   /// counts.
   size_t num_threads = 1;
-
-  /// Dependency granularity of the schedule graph the concurrent executor
-  /// runs (ignored by the sequential reference schedule). See
-  /// `ScheduleGranularity`.
-  ScheduleGranularity schedule_granularity = ScheduleGranularity::kFine;
 
   /// Row-tile height for the quadratic phases (4 and 5). 0 (the default)
   /// ships each local matrix and comparison result as one whole-matrix

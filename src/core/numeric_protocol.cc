@@ -51,7 +51,7 @@ std::vector<uint64_t> NumericProtocol::BuildComparisonMatrix(
       negate_mask[n] = initiator_negated ? 0 : ~uint64_t{0};
     }
   }
-  ThreadPool::ParallelFor(
+  ParallelFor(
       rows, num_threads,
       [&](size_t row_begin, size_t row_end) {
         for (size_t m = row_begin; m < row_end; ++m) {
@@ -89,7 +89,7 @@ Result<std::vector<uint64_t>> NumericProtocol::RecoverDistances(
     rng_jt->Reset();
     for (size_t n = 0; n < cols; ++n) masks[n] = rng_jt->Next();
   }
-  ThreadPool::ParallelFor(
+  ParallelFor(
       rows, num_threads,
       [&](size_t row_begin, size_t row_end) {
         for (size_t m = row_begin; m < row_end; ++m) {

@@ -42,9 +42,9 @@ class NumericProtocol {
   /// `rng_jk` is reset after every row so the nth column always sees the
   /// nth sign DHJ used. The generator is left reset-consistent (the
   /// function resets it before first use too, making calls idempotent).
-  /// With `num_threads > 1` rows are split across threads, each working on
-  /// a fresh clone of `rng_jk` — bit-identical output, since every row
-  /// restarts the stream anyway.
+  /// With `num_threads > 1` rows are split across threads — bit-identical
+  /// output, since every row reads the same sign prefix, drawn once per
+  /// payload before the split.
   static std::vector<uint64_t> BuildComparisonMatrix(
       const std::vector<int64_t>& responder_values,
       const std::vector<uint64_t>& masked_initiator, Prng* rng_jk,

@@ -38,10 +38,6 @@ const char* StepKindToString(StepKind kind) {
   return "?";
 }
 
-const char* ScheduleGranularityToString(ScheduleGranularity granularity) {
-  return granularity == ScheduleGranularity::kGrouped ? "grouped" : "fine";
-}
-
 const char* MaskingModeToString(MaskingMode mode) {
   return mode == MaskingMode::kPerPair ? "per-pair" : "batch";
 }
@@ -353,14 +349,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
   // those steps among themselves with `cat_chain`.
   uint32_t cat_chain = 0;
   bool have_cat_chain = false;
-  // Grouped escape hatch: serialize each responder's rounds.
-  std::map<std::string, uint32_t> group_last;
-  auto group_chain = [&](const std::string& responder, uint32_t id) {
-    if (options.granularity != ScheduleGranularity::kGrouped) return;
-    auto it = group_last.find(responder);
-    if (it != group_last.end()) b.AddDep(id, it->second);
-    group_last[responder] = id;
-  };
 
   for (size_t c = 0; c < schema.size(); ++c) {
     if (schema.attribute(c).type == AttributeType::kCategorical) {
@@ -429,7 +417,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           uint32_t init_id = b.Add(std::move(init));
           b.AddDep(init_id, setup_end);
           b.NoteSend(init_id, initiator, responder);
-          group_chain(responder, init_id);
 
           ScheduleStep recv = MakeStep(StepKind::kComparisonReceive, 5,
                                        responder);
@@ -442,7 +429,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           }
           shared_recv_id = b.Add(std::move(recv));
           b.NoteReceive(shared_recv_id, initiator, responder);
-          group_chain(responder, shared_recv_id);
         }
 
         for (const RowRange& r : tiles) {
@@ -460,7 +446,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
             uint32_t init_id = b.Add(std::move(init));
             b.AddDep(init_id, setup_end);
             b.NoteSend(init_id, initiator, responder);
-            group_chain(responder, init_id);
 
             ScheduleStep recv = MakeStep(StepKind::kComparisonReceive, 5,
                                          responder);
@@ -473,7 +458,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
             recv.row_end = r.end;
             build_dep = b.Add(std::move(recv));
             b.NoteReceive(build_dep, initiator, responder);
-            group_chain(responder, build_dep);
           }
 
           ScheduleStep build = MakeStep(StepKind::kComparisonBuild, 5,
@@ -485,7 +469,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           build.row_end = r.end;
           uint32_t build_id = b.Add(std::move(build));
           b.AddDep(build_id, build_dep);
-          group_chain(responder, build_id);
 
           ScheduleStep send = MakeStep(StepKind::kComparisonSend, 5,
                                        responder);
@@ -500,7 +483,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           uint32_t send_id = b.Add(std::move(send));
           b.AddDep(send_id, build_id);
           b.NoteSend(send_id, responder, tp);
-          group_chain(responder, send_id);
 
           ScheduleStep collect = MakeStep(StepKind::kComparisonCollect, 5,
                                           tp);
@@ -514,7 +496,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           collect.row_end = r.end;
           uint32_t collect_id = b.Add(std::move(collect));
           b.NoteReceive(collect_id, responder, tp);
-          group_chain(responder, collect_id);
 
           ScheduleStep install = MakeStep(StepKind::kComparisonInstall, 5,
                                           tp);
@@ -526,7 +507,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           install.row_end = r.end;
           uint32_t install_id = b.Add(std::move(install));
           b.AddDep(install_id, collect_id);
-          group_chain(responder, install_id);
           tp_terminal.push_back(install_id);
         }
       }
@@ -638,7 +618,7 @@ Status ExecuteScheduleStep(const Schedule& schedule, const ScheduleStep& step,
                             StepKindToString(step.kind) + "' needs party '" +
                             step.actor + "', which is not bound");
   }
-  // Cancellation/deadline gate shared by all three executors: a tripped
+  // Cancellation/deadline gate shared by every executor: a tripped
   // token stops the session at the next step boundary, with the step's
   // phase and actor in the message so logs say *where* the run died.
   if (const CancelToken* cancel = is_tp ? third_party->cancel_token()
@@ -780,14 +760,7 @@ Status ScheduleExecutor::ExecuteStep(const ScheduleStep& step) const {
   return ExecuteScheduleStep(*schedule_, step, holder, third_party_);
 }
 
-Status ScheduleExecutor::RunSequential() {
-  for (const ScheduleStep& step : schedule_->steps()) {
-    PPC_RETURN_IF_ERROR(ExecuteStep(step));
-  }
-  return Status::OK();
-}
-
-Status ScheduleExecutor::RunConcurrent(size_t num_threads) {
+Status ScheduleExecutor::Run(size_t num_threads) {
   const std::vector<ScheduleStep>& steps = schedule_->steps();
   std::vector<std::function<Status()>> tasks;
   std::vector<std::vector<uint32_t>> deps;

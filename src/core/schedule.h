@@ -121,7 +121,7 @@ struct ScheduleStep {
   uint32_t shared_uses = 0;
 };
 
-/// The dependency-tracked protocol schedule: one graph, three executors.
+/// The dependency-tracked protocol schedule: one graph, run two ways.
 ///
 /// `Build` lays out the phases 1-6 steps in the *canonical order* — the
 /// exact action order of the original sequential driver — and records every
@@ -136,19 +136,15 @@ struct ScheduleStep {
 ///     messages (setup phases run as one chain; the TP's categorical token
 ///     bookkeeping is serialized).
 ///
-/// Executing the steps in index order *is* the sequential reference
-/// schedule (bit-identical by construction); executing the ready set on a
-/// thread pool is the concurrent engine; filtering one actor's steps in
-/// index order is that party's side of a distributed run. All three are
-/// provided by `ScheduleExecutor`.
+/// `ScheduleExecutor::Run` drives the whole graph in one process: with one
+/// worker it executes the steps in index order, which *is* the sequential
+/// reference schedule (bit-identical by construction); with n workers it
+/// executes the ready set concurrently. `ScheduleExecutor::RunParty`
+/// filters one actor's steps in index order — that party's side of a
+/// distributed run.
 class Schedule {
  public:
   struct Options {
-    /// kFine exposes the full dependency structure. kGrouped adds chain
-    /// edges serializing each responder's phase-5 rounds — the PR-3-era
-    /// conservative schedule, kept as an escape hatch (CLI
-    /// `--schedule=grouped`); results are bit-identical either way.
-    ScheduleGranularity granularity = ScheduleGranularity::kFine;
     /// Row-tile height for phases 4-5 (ProtocolConfig::tile_size). 0 keeps
     /// the whole-matrix steps. A positive value splits every local-matrix
     /// and comparison round into per-tile build/send/collect/install steps
@@ -173,7 +169,7 @@ class Schedule {
   /// names fewer than two holders or no third party.
   static Result<Schedule> Build(const SessionPlan& plan, const Schema& schema,
                                 const Options& options);
-  /// Same, with default options (fine granularity).
+  /// Same, with default options (untiled).
   static Result<Schedule> Build(const SessionPlan& plan, const Schema& schema);
 
   const std::vector<ScheduleStep>& steps() const { return steps_; }
@@ -194,9 +190,9 @@ class Schedule {
   /// Ready-set widths of the graph restricted to `phase`: simulates Kahn
   /// waves (complete every ready step, repeat) and reports how many steps
   /// of `phase` were ready in each wave. The maximum over waves is the
-  /// parallelism the thread-pool executor can exploit in that phase;
-  /// the old responder-grouped schedule's weakness was a phase-5 width of
-  /// 1 for k = 2, which the fine graph lifts.
+  /// parallelism the ready-set executor can exploit in that phase: a
+  /// responder's per-attribute rounds depend only on their own inbound
+  /// messages, so phase 5 is wider than 1 even for k = 2.
   std::vector<size_t> ReadySetWidths(int phase) const;
   size_t MaxReadyWidth(int phase) const;
 
@@ -209,9 +205,9 @@ class Schedule {
 };
 
 /// Runs one schedule over in-process party objects. The parties' method
-/// calls are identical across the three run modes, and per-channel message
-/// order is pinned by the graph, so all three produce bit-identical
-/// third-party matrices.
+/// calls are identical for every worker count and for the per-party
+/// projection, and per-channel message order is pinned by the graph, so
+/// all of them produce bit-identical third-party matrices.
 class ScheduleExecutor {
  public:
   /// Binds every party of `schedule.plan()`. All pointers must outlive the
@@ -219,16 +215,13 @@ class ScheduleExecutor {
   ScheduleExecutor(const Schedule* schedule, ThirdParty* third_party,
                    std::vector<DataHolder*> holders);
 
-  /// Canonical index order on the caller's thread — the deterministic
-  /// sequential reference (the paper's Fig. 11 loop).
-  Status RunSequential();
-
-  /// Ready-set execution on `num_threads` workers: every step whose
-  /// dependencies completed is eligible, so independent protocol rounds —
-  /// and, on the fine graph, a responder's per-attribute computes — run
-  /// concurrently. With one worker this is the deterministic canonical
-  /// order.
-  Status RunConcurrent(size_t num_threads);
+  /// Runs every step. With `num_threads <= 1`: canonical index order on
+  /// the caller's thread — the deterministic sequential reference (the
+  /// paper's Fig. 11 loop). With more: ready-set execution on
+  /// `num_threads` workers, where every step whose dependencies completed
+  /// is eligible, so independent protocol rounds — a responder's
+  /// per-attribute computes included — run concurrently.
+  Status Run(size_t num_threads);
 
   /// One party's projection of the schedule: its own steps in canonical
   /// order, synchronized with the other processes by blocking receives

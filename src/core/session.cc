@@ -53,8 +53,7 @@ namespace {
 
 /// The single `ProtocolConfig::num_threads` rule (documented in config.h):
 /// 0 = auto (hardware concurrency), otherwise exactly the configured
-/// count. Both Run() and RunParallel() resolve through here so the two
-/// entry points can never disagree on what a thread count means.
+/// count.
 size_t ResolveNumThreads(size_t configured) {
   if (configured == 0) {
     return std::max(2u, std::thread::hardware_concurrency());
@@ -65,16 +64,6 @@ size_t ResolveNumThreads(size_t configured) {
 }  // namespace
 
 Status ClusteringSession::Run() {
-  const size_t num_threads = ResolveNumThreads(config_.num_threads);
-  return RunSchedule(/*concurrent=*/num_threads > 1, num_threads);
-}
-
-Status ClusteringSession::RunParallel() {
-  return RunSchedule(/*concurrent=*/true,
-                     ResolveNumThreads(config_.num_threads));
-}
-
-Status ClusteringSession::RunSchedule(bool concurrent, size_t num_threads) {
   if (ran_) return Status::FailedPrecondition("session already ran");
   PPC_RETURN_IF_ERROR(ValidateSetup());
 
@@ -101,7 +90,6 @@ Status ClusteringSession::RunSchedule(bool concurrent, size_t num_threads) {
   plan.third_party = third_party_->name();
 
   Schedule::Options options;
-  options.granularity = config_.schedule_granularity;
   options.tile_size = config_.tile_size;
   options.masking = config_.masking_mode;
   if (config_.tile_size > 0) {
@@ -116,8 +104,8 @@ Status ClusteringSession::RunSchedule(bool concurrent, size_t num_threads) {
                        Schedule::Build(plan, schema_, options));
 
   ScheduleExecutor executor(&schedule, third_party_, holders_);
-  PPC_RETURN_IF_ERROR(concurrent ? executor.RunConcurrent(num_threads)
-                                 : executor.RunSequential());
+  PPC_RETURN_IF_ERROR(
+      executor.Run(ResolveNumThreads(config_.num_threads)));
   ran_ = true;
   return Status::OK();
 }

@@ -23,9 +23,9 @@ namespace ppc {
 /// it is, the way a real deployment's control plane (or simply the arrival
 /// of messages) would. The sequencing itself lives in the dependency-
 /// tracked `Schedule` graph (core/schedule.h): this class builds the graph
-/// for its roster and hands it to a `ScheduleExecutor` — the sequential
-/// executor for the deterministic reference run, the thread-pool executor
-/// for the concurrent engine. Any backend works: the in-memory simulator
+/// for its roster and hands it to a `ScheduleExecutor`, on one worker for
+/// the deterministic reference run or on several for the ready-set
+/// engine. Any backend works: the in-memory simulator
 /// gives zero-latency deterministic runs, and a `TcpNetwork` (with a
 /// nonzero receive timeout) carries the very same schedule over real
 /// sockets. For one-party-per-process deployments use `PartyRunner`, the
@@ -67,28 +67,15 @@ class ClusteringSession {
   /// Thread count follows the single `ProtocolConfig::num_threads` rule
   /// (see config.h): 1 (the default) runs the schedule in its canonical
   /// order — the deterministic sequential reference; 0 resolves to the
-  /// hardware concurrency; any resolved count > 1 dispatches to the
-  /// thread-pool executor with exactly that many workers.
+  /// hardware concurrency; any resolved count n > 1 runs the ready set on
+  /// exactly n workers. Then every schedule step whose dependencies
+  /// completed is eligible, so the paper's independent site work —
+  /// per-(attribute x holder-pair) comparison rounds included — executes
+  /// in parallel, with per-directed-channel wire order pinned by the
+  /// graph's channel edges. Every mask stream is derived from a
+  /// per-(attribute, initiator, responder) label, so the third party's
+  /// matrices are bit-identical at every thread count.
   Status Run();
-
-  /// Runs the same pipeline on the thread-pool executor: every schedule
-  /// step whose dependencies completed is eligible, so the paper's
-  /// independent site work — per-(attribute x holder-pair) comparison
-  /// rounds included — executes in parallel, with per-directed-channel
-  /// wire order pinned by the graph's channel edges.
-  /// `ProtocolConfig::schedule_granularity` picks the fine graph or the
-  /// conservative responder-grouped one; every mask stream is derived from
-  /// a per-(attribute, initiator, responder) label, so the third party's
-  /// matrices are bit-identical to a sequential Run() either way.
-  ///
-  /// The worker count follows the same `ProtocolConfig::num_threads` rule
-  /// as `Run()` — 0 = hardware concurrency, otherwise exactly the
-  /// configured count. The only difference from `Run()` is that the
-  /// ready-set executor is used even when the resolved count is 1 (one
-  /// worker draining the ready set in deterministic canonical order),
-  /// which exists so tests can exercise the concurrent path
-  /// deterministically.
-  Status RunParallel();
 
   /// Full request round-trip for `holder_name`: send order, let the third
   /// party serve it, receive the published outcome.
@@ -98,7 +85,7 @@ class ClusteringSession {
   /// The attribute schema all parties agreed on.
   const Schema& schema() const { return schema_; }
 
-  /// The session's cancellation/deadline token. `RunSchedule` arms it
+  /// The session's cancellation/deadline token. `Run` arms it
   /// from `ProtocolConfig::deadline_ms` and binds it to every party that
   /// has no externally bound token; trip it (from any thread) to stop
   /// the run at the next receive or step boundary.
@@ -106,10 +93,6 @@ class ClusteringSession {
 
  private:
   Status ValidateSetup() const;
-  /// Shared driver behind Run()/RunParallel(): builds the schedule graph
-  /// and runs it on the chosen executor (`num_threads` >= 1, already
-  /// resolved by the num_threads rule).
-  Status RunSchedule(bool concurrent, size_t num_threads);
 
   Result<DataHolder*> FindHolder(const std::string& name) const;
 

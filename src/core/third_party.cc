@@ -257,7 +257,7 @@ void ThirdParty::FillNumericBlock(size_t column, size_t global_row_begin,
   // and scatter. Each (m, n) writes a distinct cell either way, so the fill
   // splits cleanly across threads.
   const bool contiguous = global_row_begin >= initiator_offset + cols;
-  ThreadPool::ParallelFor(
+  ParallelFor(
       rows, config_.num_threads,
       [&](size_t row_begin, size_t row_end) {
         std::vector<double> buffer;

@@ -63,7 +63,7 @@ Status FillPackedRows(const DataMatrix& data, size_t column,
     case AttributeType::kInteger: {
       PPC_ASSIGN_OR_RETURN(std::vector<int64_t> values,
                            data.IntegerColumn(column));
-      ThreadPool::ParallelFor(
+      ParallelFor(
           total, num_threads,
           [&](size_t begin, size_t end) {
             ForEachPackedRowSegment(
@@ -88,7 +88,7 @@ Status FillPackedRows(const DataMatrix& data, size_t column,
       // Decode is a single multiply by the codec's inverse scale;
       // Decode(1) recovers that factor exactly.
       const double inverse_scale = real_codec.Decode(1);
-      ThreadPool::ParallelFor(
+      ParallelFor(
           total, num_threads,
           [&](size_t begin, size_t end) {
             ForEachPackedRowSegment(
@@ -105,7 +105,7 @@ Status FillPackedRows(const DataMatrix& data, size_t column,
     case AttributeType::kCategorical: {
       PPC_ASSIGN_OR_RETURN(std::vector<std::string> values,
                            data.StringColumn(column));
-      ThreadPool::ParallelFor(
+      ParallelFor(
           total, num_threads,
           [&](size_t begin, size_t end) {
             ForEachPackedRowSegment(
@@ -123,7 +123,7 @@ Status FillPackedRows(const DataMatrix& data, size_t column,
     case AttributeType::kAlphanumeric: {
       PPC_ASSIGN_OR_RETURN(std::vector<std::string> values,
                            data.StringColumn(column));
-      ThreadPool::ParallelFor(
+      ParallelFor(
           total, num_threads,
           [&](size_t begin, size_t end) {
             ForEachPackedRowSegment(

@@ -122,12 +122,4 @@ void ChaCha20Prng::Reset() {
   next_word_ = 16;
 }
 
-std::unique_ptr<Prng> ChaCha20Prng::CloneFresh() const {
-  auto clone = std::make_unique<ChaCha20Prng>(uint64_t{0});
-  clone->key_ = key_;
-  clone->nonce_ = nonce_;
-  clone->Reset();
-  return clone;
-}
-
 }  // namespace ppc

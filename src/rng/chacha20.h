@@ -36,7 +36,6 @@ class ChaCha20Prng final : public Prng {
 
   uint64_t Next() override;
   void Reset() override;
-  std::unique_ptr<Prng> CloneFresh() const override;
   std::string name() const override { return "chacha20"; }
 
  private:

@@ -29,10 +29,6 @@ class Prng {
   /// Rewinds the stream to its initial (seeded) state.
   virtual void Reset() = 0;
 
-  /// Returns an independent copy at the *initial* state (as if freshly
-  /// seeded), regardless of how far this instance has advanced.
-  virtual std::unique_ptr<Prng> CloneFresh() const = 0;
-
   /// Human-readable implementation name ("chacha20", ...).
   virtual std::string name() const = 0;
 

@@ -14,9 +14,6 @@ class SplitMix64Prng final : public Prng {
 
   uint64_t Next() override;
   void Reset() override { state_ = seed_; }
-  std::unique_ptr<Prng> CloneFresh() const override {
-    return std::make_unique<SplitMix64Prng>(seed_);
-  }
   std::string name() const override { return "splitmix64"; }
 
   /// Stateless single-step mix, handy for seed derivation chains.

@@ -10,7 +10,7 @@ inline uint64_t Rotl(uint64_t x, int k) {
 }
 }  // namespace
 
-Xoshiro256Prng::Xoshiro256Prng(uint64_t seed) : seed_(seed) {
+Xoshiro256Prng::Xoshiro256Prng(uint64_t seed) {
   SplitMix64Prng expander(seed);
   for (auto& word : initial_state_) word = expander.Next();
   state_ = initial_state_;

@@ -16,13 +16,9 @@ class Xoshiro256Prng final : public Prng {
 
   uint64_t Next() override;
   void Reset() override { state_ = initial_state_; }
-  std::unique_ptr<Prng> CloneFresh() const override {
-    return std::make_unique<Xoshiro256Prng>(seed_);
-  }
   std::string name() const override { return "xoshiro256**"; }
 
  private:
-  uint64_t seed_;
   std::array<uint64_t, 4> initial_state_;
   std::array<uint64_t, 4> state_;
 };

@@ -39,7 +39,6 @@ void ExpectModelMatchesAudit(const LabeledDataset& data, size_t parties,
   // The prediction must price the graph the run executes — tiled when the
   // config tiles (per-tile headers are part of the closed form).
   Schedule::Options options;
-  options.granularity = config.schedule_granularity;
   options.tile_size = config.tile_size;
   options.masking = config.masking_mode;
   if (config.tile_size > 0) {

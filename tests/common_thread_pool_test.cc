@@ -1,9 +1,11 @@
-// Unit tests for src/common/thread_pool: task execution, Wait semantics,
-// deterministic ParallelFor chunking, and status collection.
+// Unit tests for src/common/thread_pool: deterministic ParallelFor
+// chunking and RunDagTasks' ready-set execution.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -11,46 +13,10 @@
 namespace ppc {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not hang.
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, WaitCanBeReused) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, AtLeastOneWorkerEvenWhenAskedForZero) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran.store(true); });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   const size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  ThreadPool::ParallelFor(
+  ParallelFor(
       n, 4,
       [&hits](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
@@ -65,7 +31,7 @@ TEST(ParallelForTest, ChunkingIsDeterministic) {
   auto record = [](size_t n, size_t threads) {
     std::vector<std::pair<size_t, size_t>> chunks;
     std::mutex mutex;
-    ThreadPool::ParallelFor(
+    ParallelFor(
         n, threads,
         [&](size_t begin, size_t end) {
           std::lock_guard<std::mutex> lock(mutex);
@@ -90,7 +56,7 @@ TEST(ParallelForTest, SmallLoopsRunInline) {
   // Below min_items the body must run once over the whole range (on the
   // calling thread).
   std::vector<std::pair<size_t, size_t>> calls;
-  ThreadPool::ParallelFor(
+  ParallelFor(
       10, 8,
       [&calls](size_t begin, size_t end) { calls.emplace_back(begin, end); },
       /*min_items=*/100);
@@ -100,45 +66,9 @@ TEST(ParallelForTest, SmallLoopsRunInline) {
 
 TEST(ParallelForTest, EmptyRangeIsANoOp) {
   bool called = false;
-  ThreadPool::ParallelFor(
+  ParallelFor(
       0, 4, [&called](size_t, size_t) { called = true; }, 1);
   EXPECT_FALSE(called);
-}
-
-TEST(RunStatusTasksTest, ReturnsFirstErrorInTaskOrder) {
-  // Every task runs (the pool does not cancel), and the *first* failing
-  // task's status comes back regardless of completion order.
-  std::atomic<int> ran{0};
-  std::vector<std::function<Status()>> tasks;
-  tasks.push_back([&ran]() -> Status {
-    ran.fetch_add(1);
-    return Status::OK();
-  });
-  tasks.push_back([&ran]() -> Status {
-    ran.fetch_add(1);
-    return Status::Internal("first failure");
-  });
-  tasks.push_back([&ran]() -> Status {
-    ran.fetch_add(1);
-    return Status::InvalidArgument("second failure");
-  });
-  Status status = RunStatusTasks(std::move(tasks), 4);
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(status.message(), "first failure");
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(RunStatusTasksTest, SequentialModeRunsInline) {
-  std::vector<int> order;
-  std::vector<std::function<Status()>> tasks;
-  for (int i = 0; i < 5; ++i) {
-    tasks.push_back([&order, i]() -> Status {
-      order.push_back(i);
-      return Status::OK();
-    });
-  }
-  EXPECT_TRUE(RunStatusTasks(std::move(tasks), 1).ok());
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(RunDagTasksTest, RespectsDependencies) {

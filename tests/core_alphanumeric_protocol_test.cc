@@ -29,9 +29,6 @@ class ScriptedPrng final : public Prng {
     return v;
   }
   void Reset() override { position_ = 0; }
-  std::unique_ptr<Prng> CloneFresh() const override {
-    return std::make_unique<ScriptedPrng>(script_);
-  }
   std::string name() const override { return "scripted"; }
 
  private:

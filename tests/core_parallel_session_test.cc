@@ -1,4 +1,4 @@
-// Concurrent protocol engine tests: RunParallel() must produce
+// Concurrent protocol engine tests: Run() on several workers must produce
 // bit-identical third-party state to the sequential Run() — the mask
 // streams are derived from per-(attribute, initiator, responder) labels,
 // so the schedule cannot change a single bit — across numeric,
@@ -63,7 +63,7 @@ void ExpectBitIdenticalMatrices(const LabeledDataset& data, size_t parties,
 
   config.num_threads = 4;
   auto parallel = MakeSession(schema, MatricesOf(parts), config).TakeValue();
-  ASSERT_TRUE(parallel.session->RunParallel().ok());
+  ASSERT_TRUE(parallel.session->Run().ok());
 
   for (size_t c = 0; c < schema.size(); ++c) {
     const DissimilarityMatrix* seq_matrix =
@@ -111,7 +111,7 @@ TEST(ParallelSessionTest, ClusteringOutcomesMatchSequential) {
   config.num_threads = 4;
   auto parallel =
       MakeSession(data.data.schema(), MatricesOf(parts), config).TakeValue();
-  ASSERT_TRUE(parallel.session->RunParallel().ok());
+  ASSERT_TRUE(parallel.session->Run().ok());
 
   for (auto algorithm : {ClusterAlgorithm::kHierarchical,
                          ClusterAlgorithm::kKMedoids}) {
@@ -131,8 +131,8 @@ TEST(ParallelSessionTest, ClusteringOutcomesMatchSequential) {
 }
 
 TEST(ParallelSessionTest, RunDispatchesToConcurrentEngineViaConfig) {
-  // Run() with num_threads > 1 must behave exactly like RunParallel():
-  // same matrices as a sequential reference session.
+  // Run() with a worker count other than the suite's usual four must
+  // still reproduce the sequential reference session's matrices.
   LabeledDataset data = GaussianData(30, 8);
   auto parts = Partitioner::RoundRobin(data, 3).TakeValue();
   ProtocolConfig config;
@@ -164,7 +164,7 @@ TEST(ParallelSessionTest, ParallelSessionServesRepeatedRequests) {
   config.num_threads = 4;
   auto fixture =
       MakeSession(data.data.schema(), MatricesOf(parts), config).TakeValue();
-  ASSERT_TRUE(fixture.session->RunParallel().ok());
+  ASSERT_TRUE(fixture.session->Run().ok());
 
   ClusterRequest request;
   request.num_clusters = 3;

@@ -2,9 +2,9 @@
 // (core/schedule.h) must (a) expose the structure the paper's message
 // dance implies — backward-pointing edges, per-channel FIFO pinned by
 // data/channel edges, phase-5 parallelism even at k = 2 — and (b) drive
-// all three executors (sequential canonical order, thread-pool ready set,
-// per-party projection) to bit-identical third-party state, across schema
-// types, masking modes, party counts, and both transport backends.
+// all three executors (`ClusteringSession::Run` on one worker and on four,
+// and the per-party projection) to bit-identical third-party state, across
+// schema types, masking modes, party counts, and both transport backends.
 
 #include <gtest/gtest.h>
 
@@ -116,18 +116,13 @@ TEST(ScheduleBuildTest, EveryReceiveConsumesAMatchingEarlierSend) {
 }
 
 TEST(ScheduleStructureTest, FineGraphUnserializesPhase5ForTwoParties) {
-  // The responder-grouped schedule's weakness (ROADMAP): with k = 2 there
-  // is a single responder, so its rounds ran strictly one after another.
-  // The fine graph must expose phase-5 steps that are ready together.
+  // With k = 2 there is a single responder; a schedule that grouped its
+  // rounds would run them strictly one after another. The graph must
+  // expose phase-5 steps that are ready together.
   Schema schema = NumericSchema(3);
   SessionPlan plan = TwoHolderPlan();
   Schedule fine = Schedule::Build(plan, schema).TakeValue();
   EXPECT_GT(fine.MaxReadyWidth(5), 1u);
-
-  Schedule::Options grouped;
-  grouped.granularity = ScheduleGranularity::kGrouped;
-  Schedule conservative = Schedule::Build(plan, schema, grouped).TakeValue();
-  EXPECT_EQ(conservative.MaxReadyWidth(5), 1u);
 }
 
 TEST(ScheduleStructureTest, Phase5CanOverlapPhase4Stragglers) {
@@ -218,6 +213,7 @@ void RunPartyProjection(const std::vector<LabeledDataset>& parts,
                         ThirdParty* tp,
                         std::vector<std::unique_ptr<DataHolder>>* holders,
                         InMemoryNetwork* net, const SessionPlan& plan) {
+  net->set_receive_timeout(std::chrono::seconds(20));
   ASSERT_TRUE(net->RegisterParty(plan.third_party).ok());
   for (size_t i = 0; i < parts.size(); ++i) {
     ASSERT_TRUE(net->RegisterParty(plan.holder_order[i]).ok());
@@ -245,10 +241,52 @@ void RunPartyProjection(const std::vector<LabeledDataset>& parts,
   }
 }
 
+/// Runs the per-party projection with `num_threads` row-kernel threads
+/// per party, then serves one clustering request over it. Requires the
+/// projection's matrices and outcome to equal the sequential session's.
+void ExpectProjectionAgrees(const std::vector<LabeledDataset>& parts,
+                            const Schema& schema, MaskingMode masking,
+                            size_t num_threads,
+                            const SessionFixture& sequential,
+                            const ClusteringOutcome& seq_outcome) {
+  const std::string label =
+      "per-party projection, " + std::to_string(num_threads) + " thread(s)";
+  SessionPlan plan;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    plan.holder_order.push_back(SessionFixture::HolderName(i));
+  }
+  ProtocolConfig party_config;
+  party_config.masking_mode = masking;
+  party_config.num_threads = num_threads;
+  InMemoryNetwork party_net;
+  ThirdParty party_tp("TP", &party_net, party_config, schema, 9000);
+  std::vector<std::unique_ptr<DataHolder>> party_holders;
+  RunPartyProjection(parts, party_config, schema, &party_tp, &party_holders,
+                     &party_net, plan);
+  ExpectSameMatrices(party_tp, *sequential.third_party, schema, label);
+
+  Status served;
+  std::thread tp_thread(
+      [&] { served = party_tp.ServeClusterRequest("A"); });
+  auto party_outcome =
+      PartyRunner::RequestClustering(party_holders[0].get(), plan,
+                                     HierRequest());
+  tp_thread.join();
+  ASSERT_TRUE(served.ok()) << label << ": " << served.ToString();
+  ASSERT_TRUE(party_outcome.ok())
+      << label << ": " << party_outcome.status().ToString();
+  EXPECT_EQ(seq_outcome.ToString(), party_outcome->ToString()) << label;
+  EXPECT_EQ(seq_outcome.silhouette, party_outcome->silhouette) << label;
+}
+
 /// The matrix cell: run the same partitions through all three executors
-/// and require bit-identical matrices and outcomes.
+/// and require bit-identical matrices and outcomes. With
+/// `threaded_projection` the per-party projection also runs a second time
+/// with four row-kernel threads per party — the only parallelism inside a
+/// party run alone (`serve --threads`, `cluster --role --threads`).
 void ExpectThreeExecutorsAgree(const std::string& kind, size_t parties,
-                               MaskingMode masking) {
+                               MaskingMode masking,
+                               bool threaded_projection = false) {
   SCOPED_TRACE(kind + " k=" + std::to_string(parties) + " " +
                MaskingModeToString(masking));
   LabeledDataset data = DatasetOfKind(kind, 4 * parties, 40 + parties);
@@ -262,31 +300,14 @@ void ExpectThreeExecutorsAgree(const std::string& kind, size_t parties,
   auto sequential = MakeSession(schema, MatricesOf(parts), config).TakeValue();
   ASSERT_TRUE(sequential.session->Run().ok());
 
-  // Executor 2: thread-pool ready set on the fine graph.
+  // Executor 2: the ready set on four workers.
   config.num_threads = 4;
-  config.schedule_granularity = ScheduleGranularity::kFine;
   auto concurrent = MakeSession(schema, MatricesOf(parts), config).TakeValue();
-  ASSERT_TRUE(concurrent.session->RunParallel().ok());
+  ASSERT_TRUE(concurrent.session->Run().ok());
   ExpectSameMatrices(*concurrent.third_party, *sequential.third_party, schema,
-                     "thread-pool");
+                     "ready set");
 
-  // Executor 3: per-party projection (PartyRunner), one thread per party.
-  SessionPlan plan;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    plan.holder_order.push_back(SessionFixture::HolderName(i));
-  }
-  ProtocolConfig party_config;
-  party_config.masking_mode = masking;
-  InMemoryNetwork party_net;
-  party_net.set_receive_timeout(std::chrono::seconds(20));
-  ThirdParty party_tp("TP", &party_net, party_config, schema, 9000);
-  std::vector<std::unique_ptr<DataHolder>> party_holders;
-  RunPartyProjection(parts, party_config, schema, &party_tp, &party_holders,
-                     &party_net, plan);
-  ExpectSameMatrices(party_tp, *sequential.third_party, schema,
-                     "per-party projection");
-
-  // All three serve the identical published outcome.
+  // Both serve the identical published outcome.
   auto seq_outcome =
       sequential.session->RequestClustering("A", HierRequest()).TakeValue();
   auto par_outcome =
@@ -294,17 +315,12 @@ void ExpectThreeExecutorsAgree(const std::string& kind, size_t parties,
   EXPECT_EQ(seq_outcome.ToString(), par_outcome.ToString());
   EXPECT_EQ(seq_outcome.silhouette, par_outcome.silhouette);
 
-  Status served;
-  std::thread tp_thread(
-      [&] { served = party_tp.ServeClusterRequest("A"); });
-  auto party_outcome =
-      PartyRunner::RequestClustering(party_holders[0].get(), plan,
-                                     HierRequest());
-  tp_thread.join();
-  ASSERT_TRUE(served.ok()) << served.ToString();
-  ASSERT_TRUE(party_outcome.ok()) << party_outcome.status().ToString();
-  EXPECT_EQ(seq_outcome.ToString(), party_outcome->ToString());
-  EXPECT_EQ(seq_outcome.silhouette, party_outcome->silhouette);
+  // Executor 3: per-party projection (PartyRunner), one thread per party.
+  ExpectProjectionAgrees(parts, schema, masking, 1, sequential, seq_outcome);
+  if (threaded_projection) {
+    ExpectProjectionAgrees(parts, schema, masking, 4, sequential,
+                           seq_outcome);
+  }
 }
 
 TEST(ThreeExecutorMatrixTest, NumericBatchAllPartyCounts) {
@@ -333,31 +349,17 @@ TEST(ThreeExecutorMatrixTest, CategoricalAllPartyCounts) {
 
 TEST(ThreeExecutorMatrixTest, MixedBothMaskingModesAllPartyCounts) {
   for (size_t k : {2, 3, 4, 5}) {
-    ExpectThreeExecutorsAgree("mixed", k, MaskingMode::kBatch);
-    ExpectThreeExecutorsAgree("mixed", k, MaskingMode::kPerPair);
+    ExpectThreeExecutorsAgree("mixed", k, MaskingMode::kBatch,
+                              /*threaded_projection=*/true);
+    ExpectThreeExecutorsAgree("mixed", k, MaskingMode::kPerPair,
+                              /*threaded_projection=*/true);
   }
-}
-
-TEST(ThreeExecutorMatrixTest, GroupedGraphIsBitIdenticalToo) {
-  LabeledDataset data = DatasetOfKind("mixed", 12, 77);
-  auto parts = Partitioner::RoundRobin(data, 3).TakeValue();
-  const Schema& schema = data.data.schema();
-  ProtocolConfig config;
-  auto reference = MakeSession(schema, MatricesOf(parts), config).TakeValue();
-  ASSERT_TRUE(reference.session->Run().ok());
-
-  config.num_threads = 4;
-  config.schedule_granularity = ScheduleGranularity::kGrouped;
-  auto grouped = MakeSession(schema, MatricesOf(parts), config).TakeValue();
-  ASSERT_TRUE(grouped.session->RunParallel().ok());
-  ExpectSameMatrices(*grouped.third_party, *reference.third_party, schema,
-                     "grouped graph");
 }
 
 // -- The same matrix over the TCP transport ----------------------------------
 
 TEST(ThreeExecutorTcpTest, ConcurrentExecutorOverTcpMatchesInMemory) {
-  // The thread-pool executor drives the fine graph over real loopback
+  // The ready-set executor drives the graph over real loopback
   // sockets: sends complete asynchronously, receives block — and the
   // result must still be bit-identical to the in-memory sequential run.
   for (MaskingMode masking : {MaskingMode::kBatch, MaskingMode::kPerPair}) {
@@ -385,7 +387,7 @@ TEST(ThreeExecutorTcpTest, ConcurrentExecutorOverTcpMatchesInMemory) {
       ASSERT_TRUE(holders.back()->SetData(parts[i].data).ok());
       ASSERT_TRUE(session.AddDataHolder(holders.back().get()).ok());
     }
-    ASSERT_TRUE(session.RunParallel().ok());
+    ASSERT_TRUE(session.Run().ok());
     ExpectSameMatrices(tp, *reference.third_party, schema, "tcp concurrent");
   }
 }

@@ -150,8 +150,8 @@ TEST(TiledSessionTest, SingleRowHolderAtEveryRole) {
 
 // ------------------------------------------------------------ executors --
 
-// One tiled graph, three executors: the sequential reference, the
-// thread-pool engine, and per-party projections driven as separate threads
+// One tiled graph, three executors: the sequential reference, the ready
+// set on four workers, and per-party projections driven as separate threads
 // over the in-memory backend. All three must agree bit for bit with the
 // whole-matrix run.
 TEST(TiledSessionTest, AllThreeExecutorsAgree) {
@@ -278,7 +278,7 @@ TEST(TiledSessionTest, TcpPartyRunnerMatchesWholeMatrix) {
 
 // -------------------------------------------------------- env override --
 
-// PPC_TILE_SIZE mirrors PPC_SCHEDULE / PPC_NUM_THREADS: it applies to
+// PPC_TILE_SIZE mirrors PPC_NUM_THREADS: it applies to
 // fixtures that left tile_size at the default, and never overrides a
 // test's explicit choice.
 TEST(TiledSessionTest, TileSizeEnvOverrideAppliesWhenDefault) {

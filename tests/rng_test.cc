@@ -58,16 +58,6 @@ TEST_P(PrngContractTest, ResetIsIdempotent) {
   EXPECT_EQ(prng->Next(), v);
 }
 
-TEST_P(PrngContractTest, CloneFreshStartsAtSeed) {
-  auto prng = MakePrng(GetParam(), 42);
-  for (int i = 0; i < 17; ++i) prng->Next();  // Advance.
-  auto clone = prng->CloneFresh();
-  prng->Reset();
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_EQ(clone->Next(), prng->Next());
-  }
-}
-
 TEST_P(PrngContractTest, NextBoundedStaysInRange) {
   auto prng = MakePrng(GetParam(), 5);
   for (uint64_t bound : {1ull, 2ull, 3ull, 10ull, 255ull, 1000003ull}) {

@@ -59,18 +59,6 @@ inline size_t ThreadsFromEnv() {
   return static_cast<size_t>(value);
 }
 
-/// Schedule-granularity override, same idea: PPC_SCHEDULE=fine|grouped
-/// (the CI matrix legs export it) picks the concurrent executor's graph
-/// for every fixture. Either graph is bit-identical to sequential, so all
-/// assertions hold unchanged.
-inline ScheduleGranularity ScheduleFromEnv(ScheduleGranularity fallback) {
-  const char* env = std::getenv("PPC_SCHEDULE");
-  if (env == nullptr) return fallback;
-  if (std::string(env) == "grouped") return ScheduleGranularity::kGrouped;
-  if (std::string(env) == "fine") return ScheduleGranularity::kFine;
-  return fallback;
-}
-
 /// Tile-size override, same idea: PPC_TILE_SIZE=N (the CI tiled leg
 /// exports it) makes every fixture whose test did not pick an explicit
 /// tile size run the tiled phase-4/5 schedule with N-row tiles. Tiled
@@ -120,13 +108,6 @@ inline Result<SessionFixture> MakeSession(
     if (size_t env_threads = ThreadsFromEnv(); env_threads > 0) {
       effective.num_threads = env_threads;
     }
-  }
-  if (effective.schedule_granularity == ScheduleGranularity::kFine) {
-    // Like the thread override: defer to a test's explicit non-default
-    // choice (a grouped-pinning test must stay grouped under the fine
-    // CI leg).
-    effective.schedule_granularity =
-        ScheduleFromEnv(effective.schedule_granularity);
   }
   if (effective.tile_size == 0) {
     if (size_t env_tile = TileSizeFromEnv(); env_tile > 0) {

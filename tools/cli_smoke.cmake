@@ -53,8 +53,7 @@ elseif(MODE STREQUAL "end_to_end")
 
 elseif(MODE STREQUAL "analyze")
   # The analyze command runs the protocol and checks its own closed-form
-  # traffic model against channel taps (exits 1 on any byte mismatch), for
-  # both schedule granularities.
+  # traffic model against channel taps (exits 1 on any byte mismatch).
   file(REMOVE_RECURSE "${SCRATCH}")
   file(MAKE_DIRECTORY "${SCRATCH}")
 
@@ -66,36 +65,35 @@ elseif(MODE STREQUAL "analyze")
     message(FATAL_ERROR "generate exited ${code}\n${out}${err}")
   endif()
 
-  foreach(schedule fine grouped)
-    execute_process(
-      COMMAND "${CLI}" analyze "${SCRATCH}/smoke.part0.csv"
-              "${SCRATCH}/smoke.part1.csv" "${SCRATCH}/smoke.part2.csv"
-              --schedule=${schedule} --threads=2
-      RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
-    if(NOT code EQUAL 0)
-      message(FATAL_ERROR
-              "analyze --schedule=${schedule} exited ${code}\n${out}${err}")
-    endif()
-    if(NOT out MATCHES "schedule: ${schedule}")
-      message(FATAL_ERROR "analyze did not report its schedule:\n${out}")
-    endif()
-    if(NOT out MATCHES "comparison rounds")
-      message(FATAL_ERROR "analyze output missing the phase table:\n${out}")
-    endif()
-  endforeach()
-
   execute_process(
     COMMAND "${CLI}" analyze "${SCRATCH}/smoke.part0.csv"
-            "${SCRATCH}/smoke.part1.csv" --schedule=bogus
-    RESULT_VARIABLE code)
-  if(NOT code EQUAL 1)
-    message(FATAL_ERROR "bogus --schedule exited ${code}, want 1")
+            "${SCRATCH}/smoke.part1.csv" "${SCRATCH}/smoke.part2.csv"
+            --threads=2
+    RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "analyze exited ${code}\n${out}${err}")
+  endif()
+  if(NOT out MATCHES "# schedule: [0-9]+ steps")
+    message(FATAL_ERROR "analyze did not report its schedule:\n${out}")
+  endif()
+  if(NOT out MATCHES "comparison rounds")
+    message(FATAL_ERROR "analyze output missing the phase table:\n${out}")
+  endif()
+
+  # --schedule is not a flag: it must fail as unknown, not be ignored.
+  execute_process(
+    COMMAND "${CLI}" analyze "${SCRATCH}/smoke.part0.csv"
+            "${SCRATCH}/smoke.part1.csv" --schedule=fine
+    RESULT_VARIABLE code ERROR_VARIABLE err)
+  if(NOT code EQUAL 1 OR NOT err MATCHES "unknown flag '--schedule'")
+    message(FATAL_ERROR "--schedule=fine exited ${code}, want 1 with an "
+            "unknown-flag error:\n${err}")
   endif()
 
 elseif(MODE STREQUAL "threaded")
-  # The concurrent engine must publish the exact same outcome as the
-  # sequential run: compare full cluster output across --threads values,
-  # ignoring only the wall-clock line.
+  # Four workers must publish the exact same outcome as the sequential
+  # run: compare full cluster output across --threads values, ignoring
+  # only the wall-clock line.
   file(REMOVE_RECURSE "${SCRATCH}")
   file(MAKE_DIRECTORY "${SCRATCH}")
 
@@ -107,30 +105,48 @@ elseif(MODE STREQUAL "threaded")
     message(FATAL_ERROR "generate exited ${code}\n${out}${err}")
   endif()
 
-  # threads x schedule sweep: the concurrent engine on either schedule
-  # graph must match the sequential output bit for bit.
-  foreach(leg "1;fine" "4;fine" "4;grouped")
-    list(GET leg 0 threads)
-    list(GET leg 1 schedule)
+  foreach(threads 1 4)
     execute_process(
       COMMAND "${CLI}" cluster "${SCRATCH}/smoke.part0.csv"
               "${SCRATCH}/smoke.part1.csv" "${SCRATCH}/smoke.part2.csv"
-              --clusters=3 --threads=${threads} --schedule=${schedule}
+              --clusters=3 --threads=${threads}
       RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
     if(NOT code EQUAL 0)
       message(FATAL_ERROR
-              "cluster --threads=${threads} --schedule=${schedule} "
-              "exited ${code}\n${out}${err}")
+              "cluster --threads=${threads} exited ${code}\n${out}${err}")
     endif()
     # Drop the timing line; everything else must match bit for bit.
     string(REGEX REPLACE "# protocol:[^\n]*\n" "" out "${out}")
-    set(out_${threads}_${schedule} "${out}")
+    set(out_${threads} "${out}")
   endforeach()
-  foreach(leg 4_fine 4_grouped)
-    if(NOT out_1_fine STREQUAL out_${leg})
-      message(FATAL_ERROR "threaded outcome diverged from sequential:\n"
-              "--- threads=1 ---\n${out_1_fine}\n"
-              "--- ${leg} ---\n${out_${leg}}")
+  if(NOT out_1 STREQUAL out_4)
+    message(FATAL_ERROR "threaded outcome diverged from sequential:\n"
+            "--- threads=1 ---\n${out_1}\n"
+            "--- threads=4 ---\n${out_4}")
+  endif()
+
+  # An absurd --threads is rejected before any input is read or any
+  # thread is started. The TIMEOUT bounds a regression that would start
+  # the run instead.
+  set(peers "A=127.0.0.1:1,B=127.0.0.1:2,TP=127.0.0.1:3,COORD=127.0.0.1:4")
+  foreach(cmd "cluster" "analyze" "serve")
+    if(cmd STREQUAL "serve")
+      set(args "${SCRATCH}/smoke.part0.csv" --role=holder --party=A
+               --holders=A,B "--peers=${peers}")
+    else()
+      set(args "${SCRATCH}/smoke.part0.csv" "${SCRATCH}/smoke.part1.csv"
+               "${SCRATCH}/smoke.part2.csv")
+    endif()
+    execute_process(
+      COMMAND "${CLI}" ${cmd} ${args} --threads=100000
+      TIMEOUT 60
+      RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT code EQUAL 1 OR NOT err MATCHES "--threads must be in")
+      message(FATAL_ERROR "${cmd} --threads=100000 exited ${code}, want 1 "
+              "with a --threads error:\n${out}${err}")
+    endif()
+    if(out MATCHES "# protocol:")
+      message(FATAL_ERROR "${cmd} --threads=100000 ran the protocol:\n${out}")
     endif()
   endforeach()
 

@@ -23,7 +23,7 @@
 //
 //   ppclust_cli analyze PART0.csv PART1.csv [...] [--alphabet=...]
 //                       [--mode=batch|perpair] [--threads=N]
-//                       [--schedule=fine|grouped] [--tile-size=T]
+//                       [--tile-size=T]
 //       Runs the protocol and prints the per-phase communication table:
 //       messages, wire/payload bytes measured on channel taps, and the
 //       schedule graph's closed-form payload prediction (phases 4-5 must
@@ -182,10 +182,10 @@ constexpr char kUsage[] =
     "              [--alphabet=dna|lowercase|identifier] "
     "[--weights=w0,w1,...]\n"
     "              [--mode=batch|perpair] [--threads=N] [--tile-size=T]\n"
-    "              [--schedule=fine|grouped] [--newick=FILE]\n"
+    "              [--newick=FILE]\n"
     "  ppclust_cli analyze PART0.csv PART1.csv [...] "
     "[--alphabet=...] [--mode=...]\n"
-    "              [--threads=N] [--schedule=fine|grouped] [--tile-size=T]\n"
+    "              [--threads=N] [--tile-size=T]\n"
     "              (per-phase predicted-vs-measured traffic)\n"
     "  ppclust_cli version   (build version + CPU kernel dispatch: "
     "aes-ni/sha-ni/avx2)\n"
@@ -326,9 +326,12 @@ int RunGenerate(const Flags& flags) {
   return 0;
 }
 
+constexpr int64_t kMaxThreads = 256;
+
 // Parses the protocol-configuration flags shared by every deployment mode
-// (--alphabet, --mode, --threads). Returns 0 on success, the Fail() exit
-// code otherwise.
+// (--alphabet, --mode, --threads, --tile-size). Returns 0 on success, the
+// Fail() exit code otherwise. Reads no input, so callers run it before
+// loading any CSV.
 int ParseProtocolConfig(const Flags& flags, ProtocolConfig* config) {
   const std::string alphabet = flags.Get("alphabet", "dna");
   if (alphabet == "dna") {
@@ -346,21 +349,13 @@ int ParseProtocolConfig(const Flags& flags, ProtocolConfig* config) {
   } else if (mode != "batch") {
     return Fail("unknown --mode '" + mode + "'");
   }
-  // Escape hatch for the concurrent engine's schedule graph: "fine" (the
-  // default) exposes the full dependency structure, "grouped" keeps the
-  // conservative responder-grouped serialization. Results are identical.
-  const std::string schedule = flags.Get("schedule", "fine");
-  if (schedule == "grouped") {
-    config->schedule_granularity = ScheduleGranularity::kGrouped;
-  } else if (schedule != "fine") {
-    return Fail("unknown --schedule '" + schedule +
-                "' (want fine or grouped)");
-  }
   // The num_threads rule (core/config.h): 0 = auto, 1 = sequential,
-  // n > 1 = concurrent engine with n workers.
+  // n > 1 = n workers. The ceiling matters because every worker's row
+  // kernels start up to n transient threads of their own.
   const int64_t threads_flag = flags.GetInt("threads", 1);
-  if (threads_flag < 0) {
-    return Fail("--threads must be non-negative (0 = hardware concurrency)");
+  if (threads_flag < 0 || threads_flag > kMaxThreads) {
+    return Fail("--threads must be in [0, " + std::to_string(kMaxThreads) +
+                "] (0 = hardware concurrency)");
   }
   config->num_threads = static_cast<size_t>(threads_flag);
   // Row-tile height for the quadratic phases: 0 (the default) ships
@@ -819,7 +814,7 @@ int RunServe(const Flags& flags) {
   if (int bad = CheckFlagNames(
           flags, {"role", "party", "holders", "peers", "third-party",
                   "coordinator", "net-timeout-ms", "entropy-seed", "schema",
-                  "alphabet", "mode", "threads", "schedule", "tile-size",
+                  "alphabet", "mode", "threads", "tile-size",
                   "max-inflight", "deadline-ms", "drain-ms"})) {
     return bad;
   }
@@ -1262,15 +1257,14 @@ int LoadPartitions(const Flags& flags, const char* command,
 // closed-form model predicts next to the bytes the channel taps measured.
 int RunAnalyze(const Flags& flags) {
   if (int bad = CheckFlagNames(flags,
-                               {"alphabet", "mode", "threads", "schedule",
-                                "tile-size"})) {
+                               {"alphabet", "mode", "threads", "tile-size"})) {
     return bad;
   }
-  std::vector<DataMatrix> parts;
-  if (int bad = LoadPartitions(flags, "analyze", &parts)) return bad;
   ProtocolConfig config;
   if (int bad = ParseProtocolConfig(flags, &config)) return bad;
   if (!flags.value_error.empty()) return Fail(flags.value_error);
+  std::vector<DataMatrix> parts;
+  if (int bad = LoadPartitions(flags, "analyze", &parts)) return bad;
   const Schema& schema = parts[0].schema();
 
   // The identical graph every driver of this run builds (the construction
@@ -1281,7 +1275,6 @@ int RunAnalyze(const Flags& flags) {
     plan.holder_order.push_back(std::string(1, static_cast<char>('A' + p)));
   }
   Schedule::Options schedule_options;
-  schedule_options.granularity = config.schedule_granularity;
   schedule_options.tile_size = config.tile_size;
   schedule_options.masking = config.masking_mode;
   if (config.tile_size > 0) {
@@ -1340,8 +1333,7 @@ int RunAnalyze(const Flags& flags) {
       "comparison rounds (Sec. 4)",
       "normalization",
   };
-  std::printf("# schedule: %s, %zu steps, protocol %.1f ms\n",
-              ScheduleGranularityToString(config.schedule_granularity),
+  std::printf("# schedule: %zu steps, protocol %.1f ms\n",
               schedule->steps().size(), stopwatch.ElapsedMillis());
   if (config.tile_size > 0) {
     std::printf("# tile-size: %zu rows per phase-4/5 tile\n",
@@ -1395,7 +1387,7 @@ int RunCluster(const Flags& flags) {
   if (int bad = CheckFlagNames(
           flags, {"clusters", "linkage", "algorithm", "eps", "minpts",
                   "alphabet", "weights", "mode", "threads", "newick",
-                  "schedule", "tile-size", "role", "party", "peers", "holders",
+                  "tile-size", "role", "party", "peers", "holders",
                   "third-party", "coordinator", "net-timeout-ms",
                   "entropy-seed", "schema"})) {
     return bad;
@@ -1408,12 +1400,11 @@ int RunCluster(const Flags& flags) {
       return Fail(std::string("--") + role_only + " requires --role");
     }
   }
+  ProtocolConfig config;
+  if (int bad = ParseProtocolConfig(flags, &config)) return bad;
   std::vector<DataMatrix> parts;
   if (int bad = LoadPartitions(flags, "cluster", &parts)) return bad;
   const Schema& schema = parts[0].schema();
-
-  ProtocolConfig config;
-  if (int bad = ParseProtocolConfig(flags, &config)) return bad;
 
   InMemoryNetwork network;
   ThirdParty tp("TP", &network, config, schema, 1);
