@@ -182,18 +182,30 @@ void BM_DeterministicEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_DeterministicEncrypt);
 
-void BM_DiffieHellmanExchange(benchmark::State& state) {
+// The per-session key path: every party generates one X25519 key pair
+// (one fixed-base scalar multiplication) and runs one shared-secret leg
+// (one scalar multiplication plus the SHA-256 seed derivation) per peer.
+void BM_X25519KeyGen(benchmark::State& state) {
+  auto rng = MakePrng(PrngKind::kChaCha20, 1);
+  for (auto _ : state) {
+    auto pair = DiffieHellman::Generate(rng.get());
+    benchmark::DoNotOptimize(pair);
+  }
+}
+BENCHMARK(BM_X25519KeyGen)->Unit(benchmark::kMicrosecond);
+
+void BM_X25519SharedSecret(benchmark::State& state) {
   auto rng = MakePrng(PrngKind::kChaCha20, 1);
   auto alice = DiffieHellman::Generate(rng.get());
   auto bob = DiffieHellman::Generate(rng.get());
+  const std::string bob_public(bob.public_key.begin(), bob.public_key.end());
   for (auto _ : state) {
-    auto shared = DiffieHellman::SharedElement(alice.private_key,
-                                               bob.public_key);
-    auto seed = DiffieHellman::DeriveSeed(shared, "label");
+    auto seed = DiffieHellman::AgreeSeed(alice.private_key, bob_public,
+                                         "label");
     benchmark::DoNotOptimize(seed);
   }
 }
-BENCHMARK(BM_DiffieHellmanExchange)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_X25519SharedSecret)->Unit(benchmark::kMicrosecond);
 
 void BM_PaillierKeyGen(benchmark::State& state) {
   const size_t bits = static_cast<size_t>(state.range(0));

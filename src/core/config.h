@@ -1,10 +1,12 @@
 #ifndef PPC_CORE_CONFIG_H_
 #define PPC_CORE_CONFIG_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "data/alphabet.h"
 #include "data/taxonomy.h"
@@ -28,6 +30,15 @@ enum class MaskingMode : uint8_t {
 /// Canonical name of `mode` ("batch" / "per-pair").
 const char* MaskingModeToString(MaskingMode mode);
 
+/// The `ProtocolConfig::num_threads` rule: 0 = auto (the hardware
+/// concurrency, at least 2), otherwise exactly the configured count.
+inline size_t ResolveNumThreads(size_t configured) {
+  if (configured == 0) {
+    return std::max(2u, std::thread::hardware_concurrency());
+  }
+  return configured;
+}
+
 /// Shared parameters every participant (data holders and third party) must
 /// agree on before the protocol starts, alongside the attribute `Schema`.
 struct ProtocolConfig {
@@ -42,8 +53,9 @@ struct ProtocolConfig {
   /// Fixed-point precision for real-valued attributes (decimal digits kept).
   int real_decimal_digits = 6;
 
-  /// Worker threads for the protocol. The single rule, honored by
-  /// `ClusteringSession::Run`:
+  /// Worker threads for the protocol. The single rule, resolved by
+  /// `ResolveNumThreads` for `ClusteringSession::Run` and for every
+  /// party's row kernels alike:
   ///
   ///   * 1 (the default) — every phase on the caller's thread, the
   ///     deterministic sequential reference schedule.

@@ -8,7 +8,6 @@
 #include "core/numeric_protocol.h"
 #include "core/taxonomy_protocol.h"
 #include "core/topics.h"
-#include "crypto/bigint.h"
 #include "crypto/det_encrypt.h"
 #include "crypto/hmac.h"
 #include "distance/comparators.h"
@@ -74,6 +73,10 @@ DataHolder::DataHolder(std::string name, Network* network,
       real_codec_(
           FixedPointCodec::Create(config_.real_decimal_digits).TakeValue()),
       entropy_(MakePrng(PrngKind::kChaCha20, entropy_seed)) {
+  // Row kernels read the thread count directly, so "auto" must already be
+  // a count here (a party run by PartyRunner never passes through
+  // ClusteringSession::Run).
+  config_.num_threads = ResolveNumThreads(config_.num_threads);
   dh_keys_ = DiffieHellman::Generate(entropy_.get());
 }
 
@@ -113,7 +116,8 @@ Result<uint64_t> DataHolder::RosterCount(const std::string& party) const {
 
 Status DataHolder::SendDhPublic(const std::string& peer) {
   ByteWriter writer;
-  writer.WriteBytes(bigint::ToBytes(dh_keys_.public_key));
+  writer.WriteBytes(std::string(dh_keys_.public_key.begin(),
+                                dh_keys_.public_key.end()));
   return network_->Send(name_, peer, topics::kDhPublic, writer.TakeBytes());
 }
 
@@ -123,10 +127,14 @@ Status DataHolder::ReceiveDhPublicAndDerive(const std::string& peer) {
   ByteReader reader(msg.payload);
   PPC_ASSIGN_OR_RETURN(std::string public_bytes, reader.ReadBytes());
   PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-  mpz_class peer_public = bigint::FromBytes(public_bytes);
-  mpz_class shared =
-      DiffieHellman::SharedElement(dh_keys_.private_key, peer_public);
-  pair_seeds_[peer] = DiffieHellman::DeriveSeed(shared, PairLabel(name_, peer));
+  Result<std::string> seed = DiffieHellman::AgreeSeed(
+      dh_keys_.private_key, public_bytes, PairLabel(name_, peer));
+  if (!seed.ok()) {
+    return Status(seed.status().code(),
+                  seed.status().message() +
+                      ChannelContext(msg.session, msg.from, msg.to, msg.topic));
+  }
+  pair_seeds_[peer] = std::move(seed).TakeValue();
   return Status::OK();
 }
 

@@ -225,8 +225,9 @@ class DataHolder {
   /// ReceiveRoster).
   Result<uint64_t> RosterCount(const std::string& party) const;
 
-  /// The protocol configuration this holder runs with (schedule drivers
-  /// consult it to build matching tiled graphs).
+  /// The protocol configuration this holder runs with, `num_threads`
+  /// resolved (schedule drivers consult it to build matching tiled
+  /// graphs).
   const ProtocolConfig& config() const { return config_; }
 
  private:

@@ -1,8 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
-#include <thread>
-
 namespace ppc {
 
 ClusteringSession::ClusteringSession(Network* network,
@@ -48,20 +45,6 @@ Status ClusteringSession::ValidateSetup() const {
   }
   return Status::OK();
 }
-
-namespace {
-
-/// The single `ProtocolConfig::num_threads` rule (documented in config.h):
-/// 0 = auto (hardware concurrency), otherwise exactly the configured
-/// count.
-size_t ResolveNumThreads(size_t configured) {
-  if (configured == 0) {
-    return std::max(2u, std::thread::hardware_concurrency());
-  }
-  return configured;
-}
-
-}  // namespace
 
 Status ClusteringSession::Run() {
   if (ran_) return Status::FailedPrecondition("session already ran");

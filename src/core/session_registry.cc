@@ -2,7 +2,26 @@
 
 #include <utility>
 
+#include "crypto/sha256.h"
+
 namespace ppc {
+
+uint64_t SessionEntropySeed(uint64_t entropy_seed, const std::string& session) {
+  Sha256 hasher;
+  hasher.Update("ppc-session-entropy:");
+  uint8_t seed_bytes[8] = {};
+  for (int b = 0; b < 8; ++b) {
+    seed_bytes[b] = static_cast<uint8_t>(entropy_seed >> (8 * b));
+  }
+  hasher.Update(seed_bytes, sizeof(seed_bytes));
+  hasher.Update(session);
+  const std::string digest = hasher.Finish();
+  uint64_t out = 0;
+  for (int b = 7; b >= 0; --b) {
+    out = (out << 8) | static_cast<uint8_t>(digest[b]);
+  }
+  return out;
+}
 
 Status SessionRegistry::StartSession(const std::string& id, SessionBody body) {
   if (id.empty()) {

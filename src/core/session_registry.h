@@ -2,6 +2,7 @@
 #define PPC_CORE_SESSION_REGISTRY_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -16,6 +17,16 @@
 #include "net/session_network.h"
 
 namespace ppc {
+
+/// The entropy seed for one party's run of session `session`: the first 8
+/// bytes (little-endian) of SHA-256("ppc-session-entropy:" ‖ entropy_seed
+/// as 8 little-endian bytes ‖ session). A resident party that seeded every
+/// session alike would send the same DH key pair, and so derive the same
+/// pair seeds and mask streams, in every session; keying the seed by
+/// session id gives each session its own keys while a fixed
+/// (entropy_seed, session) stays reproducible. Outcomes do not depend on
+/// the masks, so they are unchanged.
+uint64_t SessionEntropySeed(uint64_t entropy_seed, const std::string& session);
 
 /// Runs N concurrent logical clustering sessions over one shared
 /// transport. Each started session gets its own `SessionNetwork` view

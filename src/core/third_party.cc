@@ -11,7 +11,6 @@
 #include "core/categorical_protocol.h"
 #include "core/numeric_protocol.h"
 #include "core/topics.h"
-#include "crypto/bigint.h"
 #include "crypto/hmac.h"
 #include "distance/kernels.h"
 
@@ -55,6 +54,10 @@ ThirdParty::ThirdParty(std::string name, Network* network,
       real_codec_(
           FixedPointCodec::Create(config_.real_decimal_digits).TakeValue()),
       entropy_(MakePrng(PrngKind::kChaCha20, entropy_seed)) {
+  // Row kernels read the thread count directly, so "auto" must already be
+  // a count here (a party run by PartyRunner never passes through
+  // ClusteringSession::Run).
+  config_.num_threads = ResolveNumThreads(config_.num_threads);
   dh_keys_ = DiffieHellman::Generate(entropy_.get());
 }
 
@@ -104,7 +107,8 @@ Status ThirdParty::BroadcastRoster() {
 
 Status ThirdParty::SendDhPublic(const std::string& holder) {
   ByteWriter writer;
-  writer.WriteBytes(bigint::ToBytes(dh_keys_.public_key));
+  writer.WriteBytes(std::string(dh_keys_.public_key.begin(),
+                                dh_keys_.public_key.end()));
   return network_->Send(name_, holder, topics::kDhPublic, writer.TakeBytes());
 }
 
@@ -114,9 +118,14 @@ Status ThirdParty::ReceiveDhPublicAndDerive(const std::string& holder) {
   ByteReader reader(msg.payload);
   PPC_ASSIGN_OR_RETURN(std::string public_bytes, reader.ReadBytes());
   PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-  mpz_class shared = DiffieHellman::SharedElement(
-      dh_keys_.private_key, bigint::FromBytes(public_bytes));
-  seeds_[holder] = DiffieHellman::DeriveSeed(shared, PairLabel(name_, holder));
+  Result<std::string> seed = DiffieHellman::AgreeSeed(
+      dh_keys_.private_key, public_bytes, PairLabel(name_, holder));
+  if (!seed.ok()) {
+    return Status(seed.status().code(),
+                  seed.status().message() +
+                      ChannelContext(msg.session, msg.from, msg.to, msg.topic));
+  }
+  seeds_[holder] = std::move(seed).TakeValue();
   return Status::OK();
 }
 

@@ -125,7 +125,8 @@ class ThirdParty {
   /// ReceiveHellos; schedule drivers consult it to build tiled graphs).
   Result<uint64_t> RosterCount(const std::string& holder) const;
 
-  /// The protocol configuration this party runs with.
+  /// The protocol configuration this party runs with, `num_threads`
+  /// resolved.
   const ProtocolConfig& config() const { return config_; }
 
   /// Receives one holder's deterministic tokens for categorical attribute

@@ -1,60 +1,56 @@
 #include "crypto/diffie_hellman.h"
 
-#include "crypto/bigint.h"
+#include <cstring>
+
 #include "crypto/sha256.h"
 
 namespace ppc {
 
-namespace {
-// RFC 3526, group 14 (2048-bit MODP).
-const char kModp2048Hex[] =
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
-    "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"
-    "EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245"
-    "E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D"
-    "C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F"
-    "83655D23DCA3AD961C62F356208552BB9ED529077096966D"
-    "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9"
-    "DE2BCBF6955817183995497CEA956AE515D2261898FA0510"
-    "15728E5A8AACAA68FFFFFFFFFFFFFFFF";
-}  // namespace
-
-const mpz_class& DiffieHellman::Modulus() {
-  static const mpz_class p(kModp2048Hex, 16);
-  return p;
-}
-
-const mpz_class& DiffieHellman::Generator() {
-  static const mpz_class g(2);
-  return g;
-}
-
 DiffieHellman::KeyPair DiffieHellman::Generate(Prng* prng) {
-  KeyPair pair;
-  pair.private_key = bigint::RandomBits(prng, 256);
-  mpz_powm(pair.public_key.get_mpz_t(), Generator().get_mpz_t(),
-           pair.private_key.get_mpz_t(), Modulus().get_mpz_t());
+  KeyPair pair{};
+  for (size_t word = 0; word < kX25519KeyLength / 8; ++word) {
+    const uint64_t bits = prng->Next();
+    for (size_t b = 0; b < 8; ++b) {
+      pair.private_key[8 * word + b] = static_cast<uint8_t>(bits >> (8 * b));
+    }
+  }
+  pair.public_key = X25519Base(pair.private_key);
   return pair;
 }
 
-mpz_class DiffieHellman::SharedElement(const mpz_class& private_key,
-                                       const mpz_class& peer_public) {
-  mpz_class shared;
-  mpz_powm(shared.get_mpz_t(), peer_public.get_mpz_t(),
-           private_key.get_mpz_t(), Modulus().get_mpz_t());
-  return shared;
+X25519Key DiffieHellman::SharedElement(const X25519Key& private_key,
+                                       const X25519Key& peer_public) {
+  return X25519(private_key, peer_public);
 }
 
-std::string DiffieHellman::DeriveSeed(const mpz_class& shared_element,
+std::string DiffieHellman::DeriveSeed(const X25519Key& shared_element,
                                       const std::string& label) {
   Sha256 hasher;
   hasher.Update("ppc-dh-seed:");
-  hasher.Update(bigint::ToBytes(shared_element));
+  hasher.Update(shared_element.data(), shared_element.size());
   hasher.Update(":");
   hasher.Update(label);
   return hasher.Finish();
+}
+
+Result<std::string> DiffieHellman::AgreeSeed(const X25519Key& private_key,
+                                             const std::string& peer_public,
+                                             const std::string& label) {
+  if (peer_public.size() != kX25519KeyLength) {
+    return Status::ProtocolViolation(
+        "DH public value is " + std::to_string(peer_public.size()) +
+        " bytes, expected " + std::to_string(kX25519KeyLength));
+  }
+  X25519Key peer{};
+  std::memcpy(peer.data(), peer_public.data(), peer.size());
+  const X25519Key shared = SharedElement(private_key, peer);
+  uint8_t any = 0;
+  for (uint8_t byte : shared) any |= byte;
+  if (any == 0) {
+    return Status::ProtocolViolation(
+        "DH shared secret is all-zero (low-order public value)");
+  }
+  return DeriveSeed(shared, label);
 }
 
 }  // namespace ppc

@@ -125,21 +125,6 @@ void ChannelTransport::DeliverLocal(Endpoint* endpoint, Message message) {
   endpoint->arrival.NotifyAll();
 }
 
-namespace {
-
-/// Channel context appended to every receive failure so a stuck or
-/// misrouted session reads as "who was waiting on whom, for what" in the
-/// log.
-std::string ReceiveContext(const std::string& session, const std::string& from,
-                           const std::string& to, const std::string& topic) {
-  std::string out = " (session '" + session + "', " + from + " -> " + to;
-  if (!topic.empty()) out += ", topic '" + topic + "'";
-  out += ")";
-  return out;
-}
-
-}  // namespace
-
 Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
                                             const std::string& to,
                                             const std::string& from,
@@ -163,7 +148,7 @@ Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
     Status live = cancel->Check();
     if (!live.ok()) {
       return Status(live.code(),
-                    live.message() + ReceiveContext(session, from, to,
+                    live.message() + ChannelContext(session, from, to,
                                                     expected_topic));
     }
   }
@@ -182,7 +167,7 @@ Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
           return Status::ProtocolViolation(
               "expected topic '" + expected_topic + "' from '" + from +
               "' but next message has topic '" + front.topic + "'" +
-              ReceiveContext(session, from, to, expected_topic));
+              ChannelContext(session, from, to, expected_topic));
         }
         msg = std::move(front);
         queue_it->second.pop_front();
@@ -191,7 +176,7 @@ Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
       if (timeout.count() <= 0) {
         return Status::NotFound(
             "no pending message from '" + from + "' to '" + to + "'" +
-            ReceiveContext(session, from, to, expected_topic));
+            ChannelContext(session, from, to, expected_topic));
       }
       // Wake at the earliest of the transport deadline, the token's own
       // deadline, and the poll slice, so cancellation and deadline expiry
@@ -212,7 +197,7 @@ Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
         Status live = cancel->Check();
         if (!live.ok()) {
           return Status(live.code(),
-                        live.message() + ReceiveContext(session, from, to,
+                        live.message() + ChannelContext(session, from, to,
                                                         expected_topic));
         }
       }
@@ -220,7 +205,7 @@ Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
         return Status::Unavailable(
             "no message from '" + from + "' to '" + to + "' within " +
             std::to_string(timeout.count()) + " ms" +
-            ReceiveContext(session, from, to, expected_topic) +
+            ChannelContext(session, from, to, expected_topic) +
             ": peer unreachable or stalled");
       }
     }

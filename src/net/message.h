@@ -41,6 +41,19 @@ struct WireFrame {
   std::string session;
 };
 
+/// The channel context every receive-side failure carries, so a stuck,
+/// misrouted or hostile frame reads as "who was waiting on whom, for
+/// what": " (session 's', from -> to, topic 't')".
+inline std::string ChannelContext(const std::string& session,
+                                  const std::string& from,
+                                  const std::string& to,
+                                  const std::string& topic) {
+  std::string out = " (session '" + session + "', " + from + " -> " + to;
+  if (!topic.empty()) out += ", topic '" + topic + "'";
+  out += ")";
+  return out;
+}
+
 /// Cumulative traffic counters for one directed channel.
 struct ChannelStats {
   uint64_t messages = 0;

@@ -13,6 +13,8 @@
 #include "core/topics.h"
 #include "data/schema.h"
 #include "net/in_memory_network.h"
+#include "net/secure_channel.h"
+#include "net/session_network.h"
 
 namespace ppc {
 namespace {
@@ -200,6 +202,98 @@ TEST_F(FaultInjectionTest, NormalizeBeforeCollectionStillSafe) {
   // Normalizing straight away is allowed (matrices exist, all zero) — but
   // clustering without Run()'s full collection must not crash either.
   EXPECT_TRUE(tp_->NormalizeMatrices().ok());
+}
+
+// Hostile key content: a peer that sends an authenticated but malformed
+// `keys.dh_public` frame. The frame passes the transport MAC, so the
+// party's own checks are all that stand between it and a derived seed.
+class HostileDhPublicTest : public ::testing::Test {
+ protected:
+  static constexpr char kSession[] = "job-hostile";
+
+  void SetUp() override {
+    for (const char* party : {"TP", "A", "B"}) {
+      ASSERT_TRUE(transport_.RegisterParty(party).ok());
+    }
+    tp_ = std::make_unique<ThirdParty>("TP", &view_, ProtocolConfig{},
+                                       IntegerSchema(), 1);
+    a_ = std::make_unique<DataHolder>("A", &view_, ProtocolConfig{}, 2);
+  }
+
+  /// Delivers `public_value` as `from`'s DH public value to `to`, sealed
+  /// under the session's channel key exactly as an honest sender's
+  /// transport would seal it.
+  void InjectDhPublic(const std::string& from, const std::string& to,
+                      const std::string& public_value) {
+    ByteWriter writer;
+    writer.WriteBytes(public_value);
+    auto sealed = SecureChannel::Seal(
+        SecureChannel::ChannelKey(SecureChannel::kMasterKey, from, to,
+                                  kSession),
+        topics::kDhPublic, /*nonce_counter=*/1000, writer.TakeBytes());
+    ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+    ASSERT_TRUE(transport_
+                    .InjectFrameOn(kSession, from, to, topics::kDhPublic,
+                                   std::move(sealed).TakeValue())
+                    .ok());
+  }
+
+  /// Both receivers — a holder hearing from a holder, the third party
+  /// hearing from a holder — refuse `public_value` with a typed error that
+  /// names the session, the channel and the topic.
+  void ExpectBothReceiversRefuse(const std::string& public_value,
+                                 const std::string& reason) {
+    InjectDhPublic("B", "A", public_value);
+    Status at_holder = a_->ReceiveDhPublicAndDerive("B");
+    InjectDhPublic("A", "TP", public_value);
+    Status at_tp = tp_->ReceiveDhPublicAndDerive("A");
+    for (const auto& [status, channel] :
+         {std::pair{at_holder, "B -> A"}, std::pair{at_tp, "A -> TP"}}) {
+      EXPECT_EQ(status.code(), StatusCode::kProtocolViolation)
+          << status.ToString();
+      for (const std::string& part :
+           {reason, std::string("session '") + kSession + "'",
+            std::string(channel),
+            std::string("topic '") + topics::kDhPublic + "'"}) {
+        EXPECT_NE(status.message().find(part), std::string::npos)
+            << "missing \"" << part << "\" in " << status.ToString();
+      }
+    }
+  }
+
+  InMemoryNetwork transport_{TransportSecurity::kAuthenticatedEncryption};
+  SessionNetwork view_{&transport_, kSession};
+  std::unique_ptr<ThirdParty> tp_;
+  std::unique_ptr<DataHolder> a_;
+};
+
+TEST_F(HostileDhPublicTest, WrongLengthPublicValueIsTyped) {
+  // The old 2048-bit group's 256-byte values, and one byte short.
+  ExpectBothReceiversRefuse(std::string(256, '\x07'), "256 bytes");
+  ExpectBothReceiversRefuse(std::string(31, '\x07'), "31 bytes");
+}
+
+TEST_F(HostileDhPublicTest, LowOrderPublicValueIsTyped) {
+  // u = 0 and u = 1 are low-order points: every private scalar maps them
+  // to the all-zero secret (RFC 7748 Sec. 6.1).
+  std::string zero(32, '\0');
+  std::string one = zero;
+  one[0] = 1;
+  ExpectBothReceiversRefuse(zero, "all-zero");
+  ExpectBothReceiversRefuse(one, "all-zero");
+}
+
+TEST_F(HostileDhPublicTest, HonestSealedPublicValueIsAccepted) {
+  // The injection path itself is sound: a genuine public value sealed the
+  // same way derives a seed.
+  DataHolder b("B", &view_, ProtocolConfig{}, 3);
+  ASSERT_TRUE(b.SendDhPublic("A").ok());
+  EXPECT_TRUE(a_->ReceiveDhPublicAndDerive("B").ok());
+  auto rng = MakePrng(PrngKind::kChaCha20, 4);
+  const X25519Key public_key = DiffieHellman::Generate(rng.get()).public_key;
+  InjectDhPublic("A", "TP",
+                 std::string(public_key.begin(), public_key.end()));
+  EXPECT_TRUE(tp_->ReceiveDhPublicAndDerive("A").ok());
 }
 
 TEST(TamperedTransportTest, BitflipOnEncryptedFrameFailsMacCheck) {

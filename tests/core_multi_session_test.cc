@@ -13,14 +13,17 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/serde.h"
 #include "core/party_runner.h"
 #include "core/session_registry.h"
+#include "core/topics.h"
 #include "data/generators.h"
 #include "data/partition.h"
 #include "net/in_memory_network.h"
@@ -285,6 +288,101 @@ TEST_P(MultiSessionTest, WaitSessionNeverReturnsBeforeBodyFinishes) {
                     .ok());
     waiter.join();
   }
+}
+
+TEST(SessionEntropySeedTest, KeyedBySeedAndSession) {
+  EXPECT_EQ(SessionEntropySeed(1, "job-1"), SessionEntropySeed(1, "job-1"));
+  EXPECT_NE(SessionEntropySeed(1, "job-1"), SessionEntropySeed(1, "job-2"));
+  EXPECT_NE(SessionEntropySeed(1, "job-1"), SessionEntropySeed(2, "job-1"));
+}
+
+TEST(SessionEntropySeedTest, ResidentPartiesUseFreshKeysPerSession) {
+  // A resident fleet (the `serve` daemon's shape): the same parties, base
+  // seeds and data serve session after session on one registry. Seeding
+  // each session's parties from (base seed, session id) gives every
+  // session its own DH keys, so no pair seed or mask stream repeats, while
+  // the published outcome stays byte-identical. Plaintext frames, so a
+  // tap sees the public values themselves.
+  InMemoryNetwork net(TransportSecurity::kPlaintext);
+  for (const char* party : {"TP", "A", "B"}) {
+    ASSERT_TRUE(net.RegisterParty(party).ok());
+  }
+  net.set_receive_timeout(kNetTimeout);
+  const LabeledDataset data = MixedDataset(18, 5);
+  const std::vector<LabeledDataset> parts =
+      Partitioner::RoundRobin(data, 2).TakeValue();
+  const Schema& schema = data.data.schema();
+  SessionPlan plan;
+  plan.holder_order = {"A", "B"};
+  const ProtocolConfig config;
+
+  const std::vector<std::string> ids = {"job-1", "job-2"};
+  std::mutex mutex;
+  std::map<std::string, std::vector<std::string>> dh_frames;  // By session.
+  std::map<std::string, std::string> outcomes;
+  for (const std::string& id : ids) {
+    for (const auto& [from, to] :
+         {std::pair{"A", "B"}, std::pair{"A", "TP"}, std::pair{"TP", "B"}}) {
+      net.AddTapOn(id, from, to, [&](const WireFrame& frame) {
+        if (frame.topic != topics::kDhPublic) return;
+        std::lock_guard<std::mutex> lock(mutex);
+        dh_frames[frame.session].push_back(frame.wire_bytes);
+      });
+    }
+  }
+
+  SessionRegistry registry(&net);
+  for (const std::string& id : ids) {
+    Status started = registry.StartSession(id, [&, id](Network* snet,
+                                                       CancelToken* cancel) {
+      ThirdParty tp("TP", snet, config, schema,
+                    SessionEntropySeed(kEntropyBase, id));
+      DataHolder a("A", snet, config, SessionEntropySeed(kEntropyBase + 1, id));
+      DataHolder b("B", snet, config, SessionEntropySeed(kEntropyBase + 2, id));
+      for (auto* party : {&a, &b}) party->BindCancelToken(cancel);
+      tp.BindCancelToken(cancel);
+      PPC_RETURN_IF_ERROR(a.SetData(parts[0].data));
+      PPC_RETURN_IF_ERROR(b.SetData(parts[1].data));
+      Status tp_status, b_status;
+      std::thread tp_thread([&] {
+        tp_status = PartyRunner::RunThirdParty(&tp, plan, schema);
+        if (tp_status.ok()) tp_status = tp.ServeClusterRequest("A");
+      });
+      std::thread b_thread(
+          [&] { b_status = PartyRunner::RunHolder(&b, plan, schema); });
+      Status a_status = PartyRunner::RunHolder(&a, plan, schema);
+      Result<ClusteringOutcome> outcome{Status::Internal("never requested")};
+      if (a_status.ok()) {
+        outcome = PartyRunner::RequestClustering(&a, plan, HierRequest());
+      }
+      tp_thread.join();
+      b_thread.join();
+      PPC_RETURN_IF_ERROR(a_status);
+      PPC_RETURN_IF_ERROR(b_status);
+      PPC_RETURN_IF_ERROR(tp_status);
+      if (!outcome.ok()) return outcome.status();
+      ByteWriter writer;
+      outcome->Serialize(&writer);
+      std::lock_guard<std::mutex> lock(mutex);
+      outcomes[id] = writer.TakeBytes();
+      return Status::OK();
+    });
+    ASSERT_TRUE(started.ok()) << started.ToString();
+  }
+  Status all = registry.WaitAll();
+  ASSERT_TRUE(all.ok()) << all.ToString();
+
+  // Each tapped channel carried one public value per session, and no
+  // session repeated another's.
+  ASSERT_EQ(dh_frames["job-1"].size(), 3u);
+  ASSERT_EQ(dh_frames["job-2"].size(), 3u);
+  for (const std::string& first : dh_frames["job-1"]) {
+    for (const std::string& second : dh_frames["job-2"]) {
+      EXPECT_NE(first, second);
+    }
+  }
+  ASSERT_FALSE(outcomes["job-1"].empty());
+  EXPECT_EQ(outcomes["job-1"], outcomes["job-2"]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, MultiSessionTest,

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
+#include "core/party_runner.h"
 #include "data/generators.h"
 #include "data/partition.h"
 #include "session_test_util.h"
@@ -127,6 +130,66 @@ TEST(ParallelSessionTest, ClusteringOutcomesMatchSequential) {
     EXPECT_EQ(seq_outcome.silhouette, par_outcome.silhouette);
     EXPECT_EQ(seq_outcome.within_cluster_mean_squared,
               par_outcome.within_cluster_mean_squared);
+  }
+}
+
+TEST(ParallelSessionTest, PartyRunnerAutoThreadsSplitRowsBitIdentical) {
+  // num_threads = 0 ("auto") must reach the row kernels of parties that
+  // PartyRunner runs on their own, not only ClusteringSession::Run's
+  // executor: every party resolves it when it is built.
+  LabeledDataset data = MixedData(160, 31);
+  auto parts = Partitioner::RoundRobin(data, 2).TakeValue();
+  const Schema& schema = data.data.schema();
+  ProtocolConfig config;
+  config.num_threads = 0;
+
+  InMemoryNetwork network;
+  for (const char* party : {"TP", "A", "B"}) {
+    ASSERT_TRUE(network.RegisterParty(party).ok());
+  }
+  network.set_receive_timeout(std::chrono::milliseconds(20000));
+  ThirdParty tp("TP", &network, config, schema, 9000);
+  DataHolder a("A", &network, config, 9001);
+  DataHolder b("B", &network, config, 9002);
+  ASSERT_TRUE(a.SetData(parts[0].data).ok());
+  ASSERT_TRUE(b.SetData(parts[1].data).ok());
+
+  // The kernels split rows across their thread count once a block has at
+  // least 64 rows (the row kernels' ParallelFor threshold); every holder
+  // here owns 80.
+  const size_t resolved = ResolveNumThreads(0);
+  EXPECT_GE(resolved, 2u);
+  EXPECT_EQ(tp.config().num_threads, resolved);
+  EXPECT_EQ(a.config().num_threads, resolved);
+  EXPECT_EQ(b.config().num_threads, resolved);
+  ASSERT_GE(parts[0].data.NumRows(), 64u);
+  ASSERT_GE(parts[1].data.NumRows(), 64u);
+
+  SessionPlan plan;
+  plan.holder_order = {"A", "B"};
+  Status tp_status, b_status;
+  std::thread tp_thread(
+      [&] { tp_status = PartyRunner::RunThirdParty(&tp, plan, schema); });
+  std::thread b_thread(
+      [&] { b_status = PartyRunner::RunHolder(&b, plan, schema); });
+  Status a_status = PartyRunner::RunHolder(&a, plan, schema);
+  tp_thread.join();
+  b_thread.join();
+  ASSERT_TRUE(a_status.ok()) << a_status.ToString();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  ASSERT_TRUE(tp_status.ok()) << tp_status.ToString();
+
+  ProtocolConfig sequential_config;
+  sequential_config.num_threads = 1;
+  auto sequential =
+      MakeSession(schema, MatricesOf(parts), sequential_config).TakeValue();
+  ASSERT_TRUE(sequential.session->Run().ok());
+  for (size_t c = 0; c < schema.size(); ++c) {
+    EXPECT_EQ(tp.AttributeMatrixForTesting(c).TakeValue()->packed_cells(),
+              sequential.third_party->AttributeMatrixForTesting(c)
+                  .TakeValue()
+                  ->packed_cells())
+        << "attribute " << c << " (" << schema.attribute(c).name << ")";
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <set>
 
 #include "cluster/quality.h"
@@ -488,6 +490,42 @@ TEST(SessionTest, UnknownRequesterRejected) {
             StatusCode::kNotFound);
 }
 
+
+// ------------------------------------------------ privacy: key isolation --
+
+TEST(SessionPrivacyTest, ThirdPartyViewHasNoHolderHolderKeyExchange) {
+  // The DHJ<->DHK pair seeds hide the masks' signs from the third party,
+  // so their key exchange must never cross a channel the third party is an
+  // end of. Tap every directed channel of a k = 3 session and count the
+  // DH public values on each.
+  LabeledDataset data = MixedDataset(12, 21);
+  auto parts = Partitioner::RoundRobin(data, 3).TakeValue();
+  ProtocolConfig config;
+  auto fixture =
+      MakeSession(data.data.schema(), MatricesOf(parts), config).TakeValue();
+  const std::vector<std::string> parties = {"TP", "A", "B", "C"};
+  std::mutex mutex;
+  std::map<std::pair<std::string, std::string>, int> dh_frames;
+  for (const std::string& from : parties) {
+    for (const std::string& to : parties) {
+      if (from == to) continue;
+      fixture.network->AddTap(from, to, [&](const WireFrame& frame) {
+        if (frame.topic != topics::kDhPublic) return;
+        std::lock_guard<std::mutex> lock(mutex);
+        ++dh_frames[{frame.from, frame.to}];
+      });
+    }
+  }
+  ASSERT_TRUE(fixture.session->Run().ok());
+
+  // Exactly one public value per directed channel: the third party's view
+  // holds only its own 2k exchanges, and each holder pair's exchange
+  // travels on that pair's own channels.
+  EXPECT_EQ(dh_frames.size(), parties.size() * (parties.size() - 1));
+  for (const auto& [channel, count] : dh_frames) {
+    EXPECT_EQ(count, 1) << channel.first << " -> " << channel.second;
+  }
+}
 
 // ---------------------------------------------- randomized property sweep --
 

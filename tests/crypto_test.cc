@@ -1,9 +1,10 @@
-// Unit tests for src/crypto: SHA-256/HMAC/AES known-answer vectors, the
-// deterministic encryptor, Diffie-Hellman agreement, and Paillier
+// Unit tests for src/crypto: SHA-256/HMAC/AES/X25519 known-answer vectors,
+// the deterministic encryptor, Diffie-Hellman agreement, and Paillier
 // correctness + homomorphism.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "crypto/hmac.h"
 #include "crypto/paillier.h"
 #include "crypto/sha256.h"
+#include "crypto/x25519.h"
 #include "rng/prng.h"
 
 namespace ppc {
@@ -494,6 +496,86 @@ TEST(DetEncryptTest, EmptyAndBinaryPlaintexts) {
             enc.Encrypt(std::string("\0\2", 2)));
 }
 
+// ----------------------------------------------------------------- X25519 --
+
+X25519Key KeyFromHex(const std::string& hex) {
+  const std::string bytes = FromHex(hex);
+  X25519Key key{};
+  EXPECT_EQ(bytes.size(), key.size());
+  std::memcpy(key.data(), bytes.data(), std::min(bytes.size(), key.size()));
+  return key;
+}
+
+std::string KeyHex(const X25519Key& key) {
+  return HexEncode(std::string(key.begin(), key.end()));
+}
+
+TEST(X25519Test, Rfc7748Section52Vectors) {
+  EXPECT_EQ(KeyHex(X25519(
+                KeyFromHex("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18"
+                           "506a2244ba449ac4"),
+                KeyFromHex("e6db6867583030db3594c1a424b15f7c726624ec26b3353b"
+                           "10a903a6d0ab1c4c"))),
+            "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
+  // The second u-coordinate has its top bit set: the RFC masks it.
+  EXPECT_EQ(KeyHex(X25519(
+                KeyFromHex("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d4"
+                           "2ca4169e7918ba0d"),
+                KeyFromHex("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3e"
+                           "fc4cd549c715a493"))),
+            "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+}
+
+TEST(X25519Test, Rfc7748IteratedVectors) {
+  // k = u = 9; each round sets (k, u) = (X25519(k, u), k).
+  X25519Key k{};
+  k[0] = 9;
+  X25519Key u = k;
+  for (int i = 1; i <= 1000; ++i) {
+    X25519Key next = X25519(k, u);
+    u = k;
+    k = next;
+    if (i == 1) {
+      EXPECT_EQ(KeyHex(k), "422c8e7a6227d7bca1350b3e2bb7279f"
+                           "7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(KeyHex(k), "684cf59ba83309552800ef566f2f4d3c"
+                       "1c3887c49360e3875f2eb94d99532c51");
+}
+
+TEST(X25519Test, Rfc7748Section61DiffieHellman) {
+  const X25519Key alice_private = KeyFromHex(
+      "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
+  const X25519Key bob_private = KeyFromHex(
+      "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
+  const X25519Key alice_public = X25519Base(alice_private);
+  const X25519Key bob_public = X25519Base(bob_private);
+  EXPECT_EQ(KeyHex(alice_public),
+            "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a");
+  EXPECT_EQ(KeyHex(bob_public),
+            "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f");
+  const std::string shared =
+      "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742";
+  EXPECT_EQ(KeyHex(X25519(alice_private, bob_public)), shared);
+  EXPECT_EQ(KeyHex(X25519(bob_private, alice_public)), shared);
+}
+
+TEST(X25519Test, SeededScalarsCommute) {
+  // X25519(a, X25519(b, 9)) == X25519(b, X25519(a, 9)) for random scalars,
+  // including ones whose clamped-away bits are set.
+  auto rng = MakePrng(PrngKind::kXoshiro256, 7748);
+  for (int trial = 0; trial < 64; ++trial) {
+    X25519Key a, b;
+    for (size_t i = 0; i < a.size(); ++i) {
+      a[i] = static_cast<uint8_t>(rng->Next());
+      b[i] = static_cast<uint8_t>(rng->Next());
+    }
+    EXPECT_EQ(X25519(a, X25519Base(b)), X25519(b, X25519Base(a)))
+        << "trial " << trial;
+  }
+}
+
 // --------------------------------------------------------- Diffie-Hellman --
 
 TEST(DiffieHellmanTest, AgreementProducesSameSeed) {
@@ -502,9 +584,9 @@ TEST(DiffieHellmanTest, AgreementProducesSameSeed) {
   auto alice = DiffieHellman::Generate(rng_a.get());
   auto bob = DiffieHellman::Generate(rng_b.get());
 
-  mpz_class shared_alice =
+  X25519Key shared_alice =
       DiffieHellman::SharedElement(alice.private_key, bob.public_key);
-  mpz_class shared_bob =
+  X25519Key shared_bob =
       DiffieHellman::SharedElement(bob.private_key, alice.public_key);
   EXPECT_EQ(shared_alice, shared_bob);
 
@@ -521,18 +603,62 @@ TEST(DiffieHellmanTest, ThirdPartyDerivesDifferentSecret) {
   auto alice = DiffieHellman::Generate(rng.get());
   auto bob = DiffieHellman::Generate(rng.get());
   auto eve = DiffieHellman::Generate(rng.get());
-  mpz_class ab = DiffieHellman::SharedElement(alice.private_key,
+  X25519Key ab = DiffieHellman::SharedElement(alice.private_key,
                                               bob.public_key);
-  mpz_class eb = DiffieHellman::SharedElement(eve.private_key,
+  X25519Key eb = DiffieHellman::SharedElement(eve.private_key,
                                               bob.public_key);
   EXPECT_NE(ab, eb);
 }
 
-TEST(DiffieHellmanTest, PublicKeyInGroupRange) {
+TEST(DiffieHellmanTest, PublicKeyIsFixedLength) {
+  // Every public value is exactly 32 bytes on the wire, and a seeded
+  // generator reproduces it.
   auto rng = MakePrng(PrngKind::kChaCha20, 4);
   auto pair = DiffieHellman::Generate(rng.get());
-  EXPECT_GT(pair.public_key, 1);
-  EXPECT_LT(pair.public_key, DiffieHellman::Modulus());
+  EXPECT_EQ(pair.public_key.size(), kX25519KeyLength);
+  EXPECT_EQ(pair.public_key, X25519Base(pair.private_key));
+  EXPECT_NE(pair.public_key, X25519Key{});
+  auto again = MakePrng(PrngKind::kChaCha20, 4);
+  EXPECT_EQ(DiffieHellman::Generate(again.get()).public_key, pair.public_key);
+}
+
+TEST(DiffieHellmanTest, AgreeSeedMatchesDeriveSeed) {
+  auto rng = MakePrng(PrngKind::kChaCha20, 5);
+  auto alice = DiffieHellman::Generate(rng.get());
+  auto bob = DiffieHellman::Generate(rng.get());
+  auto seed = DiffieHellman::AgreeSeed(
+      alice.private_key,
+      std::string(bob.public_key.begin(), bob.public_key.end()), "label");
+  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+  EXPECT_EQ(*seed, DiffieHellman::DeriveSeed(
+                       DiffieHellman::SharedElement(bob.private_key,
+                                                    alice.public_key),
+                       "label"));
+}
+
+TEST(DiffieHellmanTest, AgreeSeedRejectsWrongLengthAndLowOrderPoints) {
+  auto rng = MakePrng(PrngKind::kChaCha20, 6);
+  auto alice = DiffieHellman::Generate(rng.get());
+  for (size_t length : {size_t{0}, size_t{31}, size_t{33}, size_t{256}}) {
+    EXPECT_EQ(DiffieHellman::AgreeSeed(alice.private_key,
+                                       std::string(length, '\x05'), "l")
+                  .status()
+                  .code(),
+              StatusCode::kProtocolViolation)
+        << length << " bytes";
+  }
+  // u = 0, u = 1 and u = p (which masks and reduces to 0) are low-order:
+  // every scalar maps them to the all-zero secret.
+  std::string zero(32, '\0');
+  std::string one = zero;
+  one[0] = 1;
+  const std::string p = FromHex(
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  for (const std::string& low_order : {zero, one, p}) {
+    auto seed = DiffieHellman::AgreeSeed(alice.private_key, low_order, "l");
+    EXPECT_EQ(seed.status().code(), StatusCode::kProtocolViolation)
+        << HexEncode(low_order);
+  }
 }
 
 // ----------------------------------------------------------------- BigInt --

@@ -909,8 +909,10 @@ int RunServe(const Flags& flags) {
   const Schema schema = matrix.schema();
 
   // Entropy defaults match the in-process `cluster` command (TP = 1,
-  // holder p = 100 + p): a daemon fleet publishes the identical outcome
-  // for identical partitions, job after job.
+  // holder p = 100 + p). Each session's parties are seeded from (this
+  // seed, session id), so no two sessions share DH keys or mask streams;
+  // outcomes do not depend on either, so a daemon fleet still publishes
+  // the identical outcome for identical partitions, job after job.
   const int64_t default_seed =
       role == "third-party" ? 1 : 100 + static_cast<int64_t>(my_index);
   const uint64_t entropy_seed =
@@ -990,12 +992,14 @@ int RunServe(const Flags& flags) {
 
     // Everything the session body touches is captured by value: the loop
     // (and any number of sibling sessions) keeps running while it works.
+    const uint64_t session_seed =
+        SessionEntropySeed(entropy_seed, job->session);
     SessionRegistry::SessionBody body;
     if (role == "third-party") {
-      body = [tp_name, config, schema, entropy_seed, plan, deadline_ms](
+      body = [tp_name, config, schema, session_seed, plan, deadline_ms](
                  Network* snet, CancelToken* cancel) {
         cancel->ArmDeadline(deadline_ms);
-        ThirdParty tp(tp_name, snet, config, schema, entropy_seed);
+        ThirdParty tp(tp_name, snet, config, schema, session_seed);
         tp.BindCancelToken(cancel);
         Status status = PartyRunner::RunThirdParty(&tp, plan, schema);
         if (!status.ok()) return status;
@@ -1003,12 +1007,12 @@ int RunServe(const Flags& flags) {
       };
     } else {
       const bool requests_clustering = my_index == 0;
-      body = [party, coord_name, config, schema, entropy_seed, plan, matrix,
+      body = [party, coord_name, config, schema, session_seed, plan, matrix,
               request, requests_clustering, has_coordinator, deadline_ms](
                  Network* snet, CancelToken* cancel) {
         cancel->ArmDeadline(deadline_ms);
         Status status = [&]() -> Status {
-          DataHolder holder(party, snet, config, entropy_seed);
+          DataHolder holder(party, snet, config, session_seed);
           holder.BindCancelToken(cancel);
           PPC_RETURN_IF_ERROR(holder.SetData(matrix));
           PPC_RETURN_IF_ERROR(PartyRunner::RunHolder(&holder, plan, schema));
