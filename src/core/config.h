@@ -10,7 +10,6 @@
 
 #include "data/alphabet.h"
 #include "data/taxonomy.h"
-#include "rng/prng.h"
 
 namespace ppc {
 
@@ -44,11 +43,6 @@ inline size_t ResolveNumThreads(size_t configured) {
 struct ProtocolConfig {
   /// Masking strategy for numeric attributes.
   MaskingMode masking_mode = MaskingMode::kBatch;
-
-  /// PRNG family used for all protocol masks. ChaCha20 is the
-  /// deployment-faithful choice; the statistical generators exist for
-  /// ablations.
-  PrngKind prng_kind = PrngKind::kChaCha20;
 
   /// Fixed-point precision for real-valued attributes (decimal digits kept).
   int real_decimal_digits = 6;

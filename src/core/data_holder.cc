@@ -212,7 +212,7 @@ Result<std::unique_ptr<Prng>> DataHolder::PairPrng(
                                       "' (run key agreement first)");
   }
   std::string key = HmacSha256::DeriveKey(it->second, label);
-  return MakePrngFromKey(config_.prng_kind, key);
+  return MakePrngFromKey(key);
 }
 
 Result<std::string> DataHolder::TakePending(const std::string& slot) {

@@ -143,8 +143,7 @@ Result<std::unique_ptr<Prng>> ThirdParty::HolderPrng(
   if (it == seeds_.end()) {
     return Status::FailedPrecondition("no shared seed with '" + holder + "'");
   }
-  return MakePrngFromKey(config_.prng_kind,
-                         HmacSha256::DeriveKey(it->second, label));
+  return MakePrngFromKey(HmacSha256::DeriveKey(it->second, label));
 }
 
 Status ThirdParty::ReceiveLocalMatrix(const std::string& holder) {

@@ -116,13 +116,28 @@ Result<std::string> ChannelTransport::PrepareFrame(
   return wire;
 }
 
+ChannelTransport::QueueMap::iterator ChannelTransport::QueueEntryLocked(
+    Endpoint* endpoint, const std::string& session, const std::string& from) {
+  auto it = endpoint->queues.try_emplace(std::make_pair(session, from)).first;
+  if (it->second == nullptr) it->second = std::make_shared<Queue>();
+  return it;
+}
+
 void ChannelTransport::DeliverLocal(Endpoint* endpoint, Message message) {
+  std::shared_ptr<Queue> wake;
   {
     MutexLock lock(endpoint->mutex);
-    endpoint->queues[std::make_pair(message.session, message.from)].push_back(
-        std::move(message));
+    wake = EnqueueLocked(endpoint, std::move(message));
   }
-  endpoint->arrival.NotifyAll();
+  if (wake != nullptr) wake->arrival.NotifyOne();
+}
+
+std::shared_ptr<ChannelTransport::Queue> ChannelTransport::EnqueueLocked(
+    Endpoint* endpoint, Message message) {
+  const std::shared_ptr<Queue>& queue =
+      QueueEntryLocked(endpoint, message.session, message.from)->second;
+  queue->frames.push_back(std::move(message));
+  return queue->waiters > 0 ? queue : nullptr;
 }
 
 Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
@@ -154,29 +169,22 @@ Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
   }
   const std::chrono::milliseconds timeout = receive_timeout();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  const auto queue_key = std::make_pair(session, from);
 
+  Status status;
   Message msg;
   {
     MutexLock lock(endpoint->mutex);
-    for (;;) {
-      auto queue_it = endpoint->queues.find(queue_key);
-      if (queue_it != endpoint->queues.end() && !queue_it->second.empty()) {
-        Message& front = queue_it->second.front();
-        if (!expected_topic.empty() && front.topic != expected_topic) {
-          return Status::ProtocolViolation(
-              "expected topic '" + expected_topic + "' from '" + from +
-              "' but next message has topic '" + front.topic + "'" +
-              ChannelContext(session, from, to, expected_topic));
-        }
-        msg = std::move(front);
-        queue_it->second.pop_front();
-        break;
-      }
+    // Created if absent, so a blocked receive has its own queue to wait on.
+    // The entry stays put while this receive counts as a waiter.
+    auto queue_it = QueueEntryLocked(endpoint, session, from);
+    Queue& queue = *queue_it->second;
+    ++queue.waiters;
+    while (queue.frames.empty()) {
       if (timeout.count() <= 0) {
-        return Status::NotFound(
+        status = Status::NotFound(
             "no pending message from '" + from + "' to '" + to + "'" +
             ChannelContext(session, from, to, expected_topic));
+        break;
       }
       // Wake at the earliest of the transport deadline, the token's own
       // deadline, and the poll slice, so cancellation and deadline expiry
@@ -186,30 +194,46 @@ Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
       if (cancel != nullptr && cancel->HasDeadline()) {
         wake = std::min(wake, cancel->deadline());
       }
-      (void)endpoint->arrival.WaitUntil(endpoint->mutex, wake);
-      // Re-scan first: a frame that landed during the wait wins over any
+      (void)queue.arrival.WaitUntil(endpoint->mutex, wake);
+      // Re-check first: a frame that landed during the wait wins over any
       // concurrently tripped deadline or cancellation.
-      auto late_it = endpoint->queues.find(queue_key);
-      if (late_it != endpoint->queues.end() && !late_it->second.empty()) {
-        continue;
-      }
+      if (!queue.frames.empty()) break;
       if (cancel != nullptr) {
         Status live = cancel->Check();
         if (!live.ok()) {
-          return Status(live.code(),
-                        live.message() + ChannelContext(session, from, to,
-                                                        expected_topic));
+          status = Status(live.code(),
+                          live.message() + ChannelContext(session, from, to,
+                                                          expected_topic));
+          break;
         }
       }
       if (std::chrono::steady_clock::now() >= deadline) {
-        return Status::Unavailable(
+        status = Status::Unavailable(
             "no message from '" + from + "' to '" + to + "' within " +
             std::to_string(timeout.count()) + " ms" +
             ChannelContext(session, from, to, expected_topic) +
             ": peer unreachable or stalled");
+        break;
       }
     }
+    --queue.waiters;
+    if (status.ok()) {
+      Message& front = queue.frames.front();
+      if (!expected_topic.empty() && front.topic != expected_topic) {
+        status = Status::ProtocolViolation(
+            "expected topic '" + expected_topic + "' from '" + from +
+            "' but next message has topic '" + front.topic + "'" +
+            ChannelContext(session, from, to, expected_topic));
+      } else {
+        msg = std::move(front);
+        queue.frames.pop_front();
+      }
+    }
+    if (queue.frames.empty() && queue.waiters == 0) {
+      endpoint->queues.erase(queue_it);
+    }
   }
+  if (!status.ok()) return status;
 
   // Verification and decryption run outside the queue lock, against the
   // channel's cached context (and cached name — no per-frame string
@@ -234,7 +258,7 @@ size_t ChannelTransport::PendingCountOn(
                     : endpoint->queues.begin();
   for (; it != endpoint->queues.end(); ++it) {
     if (session && it->first.first != *session) break;
-    total += it->second.size();
+    total += it->second->frames.size();
   }
   return total;
 }
@@ -301,19 +325,24 @@ Status ChannelTransport::SetNonceCounterForTesting(const std::string& session,
   return Status::OK();
 }
 
+size_t ChannelTransport::QueueCountForTesting(const std::string& to) const {
+  Endpoint* endpoint = FindEndpoint(to);
+  if (endpoint == nullptr) return 0;
+  MutexLock lock(endpoint->mutex);
+  return endpoint->queues.size();
+}
+
 void ChannelTransport::PurgeSession(const std::string& session) {
-  // Snapshot the endpoints under the registry lock, then drain each
-  // endpoint's session queues under its own mutex — same registry ->
-  // endpoint lock order as the send path.
+  // Both maps sort by session first, so the session is one contiguous key
+  // range in each. Snapshot the endpoints under the registry lock, then
+  // drain each endpoint's session queues under its own mutex — same
+  // registry -> endpoint lock order as the send path.
   std::vector<Endpoint*> endpoints;
   {
     MutexLock lock(registry_mutex_);
-    for (auto it = channels_.begin(); it != channels_.end();) {
-      if (std::get<0>(it->first) == session) {
-        it = channels_.erase(it);
-      } else {
-        ++it;
-      }
+    auto it = channels_.lower_bound(ChannelKey(session, "", ""));
+    while (it != channels_.end() && std::get<0>(it->first) == session) {
+      it = channels_.erase(it);
     }
     endpoints.reserve(parties_.size());
     for (const auto& [name, endpoint] : parties_) {
@@ -321,19 +350,21 @@ void ChannelTransport::PurgeSession(const std::string& session) {
     }
   }
   for (Endpoint* endpoint : endpoints) {
-    {
-      MutexLock lock(endpoint->mutex);
-      for (auto it = endpoint->queues.begin(); it != endpoint->queues.end();) {
-        if (it->first.first == session) {
-          it = endpoint->queues.erase(it);
-        } else {
-          ++it;
-        }
+    MutexLock lock(endpoint->mutex);
+    auto it = endpoint->queues.lower_bound(std::make_pair(session, ""));
+    while (it != endpoint->queues.end() && it->first.first == session) {
+      Queue& queue = *it->second;
+      if (queue.waiters == 0) {
+        it = endpoint->queues.erase(it);
+        continue;
       }
+      // A receiver is blocked here: the queue must outlive its wait. Empty
+      // it and wake the waiters, so each re-polls its cancel token instead
+      // of sleeping out its slice; the last one out erases the entry.
+      queue.frames.clear();
+      queue.arrival.NotifyAll();
+      ++it;
     }
-    // Wake blocked receivers so a waiter on the purged session re-polls
-    // its cancel token instead of sleeping out its slice.
-    endpoint->arrival.NotifyAll();
   }
 }
 

@@ -40,11 +40,12 @@ class ChannelTransport : public Network {
  public:
   // -- The shared half of the Network core ----------------------------------
 
-  /// The real blocking receive of every queue-based backend: waits in
-  /// short slices, re-checking `cancel` (when non-null) each wake, so a
-  /// cancelled or deadline-expired session unblocks in at most one slice.
-  /// Every failure carries the session, channel, and topic in its message
-  /// (see `Network::ReceiveOn` for the codes).
+  /// The real blocking receive of every queue-based backend: waits on its
+  /// own `(session, from)` queue only — a frame wakes just the receive it
+  /// is for — in short slices, re-checking `cancel` (when non-null) each
+  /// wake, so a cancelled or deadline-expired session unblocks in at most
+  /// one slice. Every failure carries the session, channel, and topic in
+  /// its message (see `Network::ReceiveOn` for the codes).
   Result<Message> ReceiveOn(const std::string& session, const std::string& to,
                             const std::string& from,
                             const std::string& expected_topic = "",
@@ -53,7 +54,9 @@ class ChannelTransport : public Network {
 
   /// Frees every trace of `session`: its directed channels (counters,
   /// nonce counters, crypto contexts) and its queued undelivered frames
-  /// at every endpoint. Callers must only purge retired session ids — a
+  /// at every endpoint. Walks only the session's key range. A queue with a
+  /// blocked receiver is emptied and woken, and its last waiter removes
+  /// it on the way out. Callers must only purge retired session ids — a
   /// later send on a purged session re-derives keys with a fresh nonce
   /// counter, so reusing the id would reuse (key, nonce) pairs.
   void PurgeSession(const std::string& session) override
@@ -93,18 +96,35 @@ class ChannelTransport : public Network {
                                    const std::string& to, uint64_t value)
       EXCLUDES(registry_mutex_);
 
+  /// Test hook for the queue-lifetime contract: how many `(session,
+  /// sender)` queue entries `to`'s endpoint holds (0 if unregistered).
+  size_t QueueCountForTesting(const std::string& to) const
+      EXCLUDES(registry_mutex_);
+
  protected:
   explicit ChannelTransport(TransportSecurity security);
 
-  /// One receiver: a FIFO queue per (session, sending peer), guarded by
-  /// one mutex so a blocked `Receive` can wait for any arrival
-  /// notification addressed to it.
+  /// One `(session, sending peer)` FIFO at a receiver, with its own wait:
+  /// a frame wakes only the receive blocked on this queue, and only when
+  /// there is one. Guarded by its endpoint's mutex. Its entry exists only
+  /// while it holds frames or has a waiter, so neither a drained channel
+  /// nor a purged session leaves one behind.
+  struct Queue {
+    std::deque<Message> frames;
+    CondVar arrival;
+    int waiters = 0;
+  };
+
+  /// Keyed by (session, sender). Shared so a sender can notify after
+  /// dropping the mutex — the woken receiver then takes it uncontended —
+  /// even if the drained entry is erased in between.
+  using QueueMap =
+      std::map<std::pair<std::string, std::string>, std::shared_ptr<Queue>>;
+
+  /// One receiver: its queues, guarded by one mutex.
   struct Endpoint {
     mutable Mutex mutex;
-    CondVar arrival;
-    /// Keyed by (session, sender).
-    std::map<std::pair<std::string, std::string>, std::deque<Message>> queues
-        GUARDED_BY(mutex);
+    QueueMap queues GUARDED_BY(mutex);
   };
 
   /// Per-directed-channel counters. Plain atomics: senders on the same
@@ -180,8 +200,15 @@ class ChannelTransport : public Network {
       EXCLUDES(tap_mutex_);
 
   /// Enqueues `message` at `endpoint` (under its session/sender queue) and
-  /// wakes blocked receivers.
+  /// wakes the receiver blocked on that queue, if any.
   static void DeliverLocal(Endpoint* endpoint, Message message);
+
+  /// `DeliverLocal`'s enqueue, with the endpoint's mutex held. Returns the
+  /// queue to notify once the mutex is dropped when a receiver waits on
+  /// it, else null.
+  static std::shared_ptr<Queue> EnqueueLocked(Endpoint* endpoint,
+                                              Message message)
+      REQUIRES(endpoint->mutex);
 
   /// Guards the *structure* of parties_ / channels_ (and any registry
   /// state a subclass keeps alongside them, e.g. remote addresses).
@@ -192,6 +219,12 @@ class ChannelTransport : public Network {
       GUARDED_BY(registry_mutex_);
 
  private:
+  /// The `(session, from)` queue entry at `endpoint`, created if absent.
+  static QueueMap::iterator QueueEntryLocked(Endpoint* endpoint,
+                                             const std::string& session,
+                                             const std::string& from)
+      REQUIRES(endpoint->mutex);
+
   /// One registered eavesdropper: fires for the frames of its channel on
   /// `session`, or on every session when absent.
   struct TapEntry {

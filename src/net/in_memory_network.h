@@ -21,12 +21,13 @@ namespace ppc {
 ///
 /// Thread-safe: the concurrent protocol engine drives several party steps
 /// at once, so per-receiver queues are mutex-protected, traffic counters
-/// are atomic, and `Receive` can optionally block on a condition variable
-/// until a matching frame arrives (see `set_receive_timeout`). Encryption
-/// and MAC verification run outside all locks, so senders on distinct
-/// channels do not serialize on the crypto work. (All of that machinery is
-/// the shared `ChannelTransport` base; this class only adds in-process
-/// routing.)
+/// are atomic, and `Receive` can optionally block until a matching frame
+/// arrives (see `set_receive_timeout`) on the condition variable of its
+/// own `(session, sender)` queue, so a frame wakes only its receiver.
+/// Encryption and MAC verification run outside all locks, so senders on
+/// distinct channels do not serialize on the crypto work. (All of that
+/// machinery is the shared `ChannelTransport` base; this class only adds
+/// in-process routing.)
 class InMemoryNetwork : public ChannelTransport {
  public:
   explicit InMemoryNetwork(

@@ -424,35 +424,32 @@ Status TcpNetwork::RegisterParty(const std::string& name) {
   if (name.empty()) {
     return Status::InvalidArgument("party name must be non-empty");
   }
-  Endpoint* endpoint = nullptr;
-  {
-    MutexLock lock(registry_mutex_);
-    if (remotes_.count(name) != 0) {
-      return Status::AlreadyExists("party '" + name +
-                                   "' already known as remote");
-    }
-    auto [it, inserted] = parties_.try_emplace(name);
-    if (!inserted) {
-      return Status::AlreadyExists("party '" + name + "' already registered");
-    }
-    it->second = std::make_unique<Endpoint>();
-    endpoint = it->second.get();
-    // Hand over frames that arrived before this registration. Still under
-    // the registry lock, so no new arrival can slip between the drain and
-    // the endpoint becoming visible — per-channel FIFO is preserved
-    // (lock order registry -> endpoint matches Deliver's).
-    auto parked = unclaimed_.find(name);
-    if (parked != unclaimed_.end()) {
-      MutexLock queue_lock(endpoint->mutex);
-      for (Message& message : parked->second) {
-        endpoint->queues[std::make_pair(message.session, message.from)]
-            .push_back(std::move(message));
-        unclaimed_frames_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      unclaimed_.erase(parked);
-    }
+  MutexLock lock(registry_mutex_);
+  if (remotes_.count(name) != 0) {
+    return Status::AlreadyExists("party '" + name +
+                                 "' already known as remote");
   }
-  endpoint->arrival.NotifyAll();
+  auto [it, inserted] = parties_.try_emplace(name);
+  if (!inserted) {
+    return Status::AlreadyExists("party '" + name + "' already registered");
+  }
+  it->second = std::make_unique<Endpoint>();
+  Endpoint* endpoint = it->second.get();
+  // Hand over frames that arrived before this registration, through the
+  // same enqueue as every later arrival (no receiver can wait on an
+  // endpoint before it is registered, so there is no one to wake). Still
+  // under the registry lock, so no new arrival can slip between the drain
+  // and the endpoint becoming visible — per-channel FIFO is preserved
+  // (lock order registry -> endpoint matches Deliver's).
+  auto parked = unclaimed_.find(name);
+  if (parked != unclaimed_.end()) {
+    MutexLock queue_lock(endpoint->mutex);
+    for (Message& message : parked->second) {
+      (void)EnqueueLocked(endpoint, std::move(message));
+      unclaimed_frames_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    unclaimed_.erase(parked);
+  }
   return Status::OK();
 }
 

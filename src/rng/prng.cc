@@ -42,14 +42,8 @@ std::unique_ptr<Prng> MakePrng(PrngKind kind, uint64_t seed) {
   return nullptr;
 }
 
-std::unique_ptr<Prng> MakePrngFromKey(PrngKind kind, const std::string& key) {
-  if (kind == PrngKind::kChaCha20) {
-    return std::make_unique<ChaCha20Prng>(key);
-  }
-  // Hash the key down to 64 bits (FNV-1a) for the statistical generators.
-  uint64_t acc = 0xcbf29ce484222325ull;
-  for (unsigned char c : key) acc = (acc ^ c) * 0x100000001b3ull;
-  return MakePrng(kind, acc);
+std::unique_ptr<Prng> MakePrngFromKey(const std::string& key) {
+  return std::make_unique<ChaCha20Prng>(key);
 }
 
 }  // namespace ppc

@@ -16,8 +16,8 @@ namespace ppc {
 /// be cheap for every implementation.
 ///
 /// Implementations: `SplitMix64Prng`, `Xoshiro256Prng` (fast, statistical),
-/// and `ChaCha20Prng` (cryptographic; what a deployment would actually use —
-/// the paper assumes "a high quality pseudo-random number generator ... that
+/// and `ChaCha20Prng` (cryptographic; the only generator protocol masks are
+/// drawn from, see `MakePrngFromKey` — the paper assumes "a high quality pseudo-random number generator ... that
 /// is not predictable").
 class Prng {
  public:
@@ -60,10 +60,11 @@ const char* PrngKindToString(PrngKind kind);
 /// Creates a generator of the given family from a 64-bit seed.
 std::unique_ptr<Prng> MakePrng(PrngKind kind, uint64_t seed);
 
-/// Creates a generator of the given family from a byte-string key (e.g. a
-/// Diffie-Hellman-derived 32-byte secret). Non-ChaCha20 families hash the key
-/// down to 64 bits.
-std::unique_ptr<Prng> MakePrngFromKey(PrngKind kind, const std::string& key);
+/// Creates the protocol's mask generator from a byte-string key (e.g. a
+/// Diffie-Hellman-derived 32-byte secret): always ChaCha20, keyed directly
+/// by the 256-bit secret (see `ChaCha20Prng` for other key lengths), so a
+/// mask stream is as strong as the secret it came from.
+std::unique_ptr<Prng> MakePrngFromKey(const std::string& key);
 
 }  // namespace ppc
 

@@ -104,10 +104,11 @@ INSTANTIATE_TEST_SUITE_P(TwoToFive, PartyCountTest,
 class PrngKindSessionTest : public ::testing::TestWithParam<PrngKind> {};
 
 TEST_P(PrngKindSessionTest, AccuracyIndependentOfPrngFamily) {
+  // One family remains: mask streams are always ChaCha20, keyed by the
+  // full pairwise secret (see MakePrngFromKey).
   LabeledDataset data = MixedDataset(15, 3);
   auto parts = Partitioner::RoundRobin(data, 2).TakeValue();
   ProtocolConfig config;
-  config.prng_kind = GetParam();
   auto fixture =
       MakeSession(data.data.schema(), MatricesOf(parts), config).TakeValue();
   ASSERT_TRUE(fixture.session->Run().ok());
@@ -120,20 +121,8 @@ TEST_P(PrngKindSessionTest, AccuracyIndependentOfPrngFamily) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PrngKindSessionTest,
-                         ::testing::Values(PrngKind::kSplitMix64,
-                                           PrngKind::kXoshiro256,
-                                           PrngKind::kChaCha20),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case PrngKind::kSplitMix64:
-                               return "SplitMix64";
-                             case PrngKind::kXoshiro256:
-                               return "Xoshiro256";
-                             case PrngKind::kChaCha20:
-                               return "ChaCha20";
-                           }
-                           return "Unknown";
-                         });
+                         ::testing::Values(PrngKind::kChaCha20),
+                         [](const auto&) { return "ChaCha20"; });
 
 TEST(SessionTest, PerPairModeMatchesBatchMode) {
   LabeledDataset data = MixedDataset(18, 4);
@@ -533,7 +522,6 @@ struct SweepCase {
   uint64_t seed;
   size_t parties;
   MaskingMode mode;
-  PrngKind prng;
 };
 
 class SessionSweepTest : public ::testing::TestWithParam<SweepCase> {};
@@ -556,7 +544,6 @@ TEST_P(SessionSweepTest, RandomConfigurationsMatchCentralized) {
 
   ProtocolConfig config;
   config.masking_mode = config_case.mode;
-  config.prng_kind = config_case.prng;
   auto fixture =
       MakeSession(data.data.schema(), MatricesOf(parts), config,
                   TransportSecurity::kAuthenticatedEncryption,
@@ -576,14 +563,14 @@ TEST_P(SessionSweepTest, RandomConfigurationsMatchCentralized) {
 INSTANTIATE_TEST_SUITE_P(
     RandomizedSweep, SessionSweepTest,
     ::testing::Values(
-        SweepCase{1, 2, MaskingMode::kBatch, PrngKind::kChaCha20},
-        SweepCase{2, 3, MaskingMode::kPerPair, PrngKind::kChaCha20},
-        SweepCase{3, 4, MaskingMode::kBatch, PrngKind::kXoshiro256},
-        SweepCase{4, 2, MaskingMode::kPerPair, PrngKind::kSplitMix64},
-        SweepCase{5, 5, MaskingMode::kBatch, PrngKind::kChaCha20},
-        SweepCase{6, 3, MaskingMode::kBatch, PrngKind::kSplitMix64},
-        SweepCase{7, 2, MaskingMode::kPerPair, PrngKind::kXoshiro256},
-        SweepCase{8, 4, MaskingMode::kPerPair, PrngKind::kChaCha20}),
+        SweepCase{1, 2, MaskingMode::kBatch},
+        SweepCase{2, 3, MaskingMode::kPerPair},
+        SweepCase{3, 4, MaskingMode::kBatch},
+        SweepCase{4, 2, MaskingMode::kPerPair},
+        SweepCase{5, 5, MaskingMode::kBatch},
+        SweepCase{6, 3, MaskingMode::kBatch},
+        SweepCase{7, 2, MaskingMode::kPerPair},
+        SweepCase{8, 4, MaskingMode::kPerPair}),
     [](const auto& info) {
       return "Seed" + std::to_string(info.param.seed);
     });

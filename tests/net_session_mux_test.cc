@@ -3,7 +3,8 @@
 // pair. The contract under test: per-session FIFO on the same directed
 // channel, cryptographic key separation between sessions, exact
 // per-session accounting that sums to the legacy aggregate, session-aware
-// taps, and the nonce-exhaustion refusal that keeps CTR mode sound.
+// taps, the nonce-exhaustion refusal that keeps CTR mode sound, and a
+// purge that frees one session without disturbing a receiver on another.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,10 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "net/channel_transport.h"
 #include "net/in_memory_network.h"
 #include "net/network.h"
@@ -199,6 +202,57 @@ TEST_P(SessionMuxTest, NonceExhaustionRefusesFurtherSeals) {
   ASSERT_TRUE(net_->Send("A", "B", "t", "also fine").ok());
   EXPECT_EQ(net_->ReceiveOn("s2", "B", "A", "t")->payload, "fine");
   EXPECT_EQ(net_->Receive("B", "A", "t")->payload, "also fine");
+}
+
+TEST_P(SessionMuxTest, PurgeWakesItsBlockedReceiverAndSparesOthers) {
+  // Give session S state to purge: a channel with counters and an
+  // undelivered frame queued at A.
+  ASSERT_TRUE(net_->SendOn("S", "B", "A", "t", "never read").ok());
+  const auto arrived_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (net_->PendingCountOn("S", "A") != 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), arrived_by);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // One receiver blocks on S, another on T, both at B from A.
+  CancelToken cancel_s;
+  Status s_status;
+  std::chrono::steady_clock::time_point s_returned;
+  std::thread s_receiver([&] {
+    s_status = net_->ReceiveOn("S", "B", "A", "t", &cancel_s).status();
+    s_returned = std::chrono::steady_clock::now();
+  });
+  Result<Message> t_result = Status::Internal("not received");
+  std::thread t_receiver(
+      [&] { t_result = net_->ReceiveOn("T", "B", "A", "t"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  net_->PurgeSession("S");
+  const auto cancelled_at = std::chrono::steady_clock::now();
+  cancel_s.Cancel(Status::DeadlineExceeded("session S retired"));
+  s_receiver.join();
+  // The purged queue's receiver was woken and re-polls its token: it
+  // returns the token's typed Status within one 50 ms poll slice (plus
+  // scheduling slack), not after the 5 s receive timeout.
+  EXPECT_EQ(s_status.code(), StatusCode::kDeadlineExceeded)
+      << s_status.ToString();
+  EXPECT_LT(s_returned - cancelled_at, std::chrono::milliseconds(50 + 450));
+
+  // T's receiver was never disturbed and still gets its frame.
+  EXPECT_TRUE(net_->SendOn("T", "A", "B", "t", "for T").ok());
+  t_receiver.join();
+  ASSERT_TRUE(t_result.ok()) << t_result.status().ToString();
+  EXPECT_EQ(t_result->payload, "for T");
+
+  // Nothing of S is left: no frames, no counters, and no queue entry —
+  // not even the one S's blocked receive created.
+  EXPECT_EQ(net_->PendingCountOn("S", "A"), 0u);
+  EXPECT_EQ(net_->PendingCountOn("S", "B"), 0u);
+  EXPECT_EQ(net_->StatsOn("S", std::nullopt, std::nullopt).messages, 0u);
+  EXPECT_EQ(net_->StatsOn("S", std::nullopt, std::nullopt).wire_bytes, 0u);
+  EXPECT_EQ(transport_->QueueCountForTesting("A"), 0u);
+  EXPECT_EQ(transport_->QueueCountForTesting("B"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SessionMuxTest,

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -186,6 +187,44 @@ TEST_P(TransportConformanceTest, BlockingReceiveWakesOnLateArrival) {
   sender.join();
   ASSERT_TRUE(msg.ok()) << msg.status().ToString();
   EXPECT_EQ(msg->payload, "worth the wait");
+}
+
+TEST_P(TransportConformanceTest, ManySessionsEachWakeOnTheirOwnFrame) {
+  // One endpoint, 32 sessions, one blocked receiver each; the frames
+  // arrive in reverse session order, two per session. Each receiver must
+  // get exactly its own session's frames, in send order.
+  constexpr int kSessions = 32;
+  auto session_id = [](int i) { return "wake-" + std::to_string(i); };
+  std::vector<Result<Message>> first(kSessions, Status::Internal("unset"));
+  std::vector<Result<Message>> second(kSessions, Status::Internal("unset"));
+  std::atomic<int> started{0};
+  std::vector<std::thread> receivers;
+  for (int i = 0; i < kSessions; ++i) {
+    receivers.emplace_back([&, i] {
+      started.fetch_add(1);
+      first[i] = net_->ReceiveOn(session_id(i), "B", "A", "t");
+      second[i] = net_->ReceiveOn(session_id(i), "B", "A", "t");
+    });
+  }
+  while (started.load() < kSessions) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (int i = kSessions - 1; i >= 0; --i) {
+    // EXPECT, not ASSERT: the receivers must still be joined.
+    EXPECT_TRUE(net_->SendOn(session_id(i), "A", "B", "t",
+                             "first of " + session_id(i))
+                    .ok());
+    EXPECT_TRUE(net_->SendOn(session_id(i), "A", "B", "t",
+                             "second of " + session_id(i))
+                    .ok());
+  }
+  for (std::thread& receiver : receivers) receiver.join();
+  for (int i = 0; i < kSessions; ++i) {
+    ASSERT_TRUE(first[i].ok()) << first[i].status().ToString();
+    EXPECT_EQ(first[i]->payload, "first of " + session_id(i));
+    EXPECT_EQ(first[i]->session, session_id(i));
+    ASSERT_TRUE(second[i].ok()) << second[i].status().ToString();
+    EXPECT_EQ(second[i]->payload, "second of " + session_id(i));
+  }
 }
 
 TEST_P(TransportConformanceTest, EmptyChannelTimesOutAsUnavailable) {
